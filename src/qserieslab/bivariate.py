@@ -24,6 +24,7 @@ from .series import (
     Rational,
     SeriesError,
     _build,
+    _ceil,
     _frac,
     compare,
     zero,
@@ -174,11 +175,18 @@ def quintuple_rhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
 
     (1+z) * prod over n >= 1 of (1-q^(2n)) (1-q^(4n-2)z^2) (1-q^(4n-2)z^-2)
     (1+q^(2n)z) (1+q^(2n)z^-1), expanded with factors in ascending q-exponent
-    order.  Intermediate layers are never clipped (the q-truncation already
-    bounds how far mass can travel in z); the final result is clipped to the
-    requested window.  The floor metadata is the identity's layer support.
+    order.  Every q-exponent is an integer, so truncation compares plain ints
+    against ceil(order).  Each factor updates the z-layers in place, reading
+    every source layer before it is written: for a positive z-shift the
+    sources are walked in descending z, for a negative one ascending, and a
+    z-shift of 0 reads a copy of the layer it writes.  Layers that cancel
+    to zero are dropped.  Intermediate layers are never clipped (the
+    q-truncation already bounds how far mass can travel in z); the final
+    result is clipped to the requested window.  The floor metadata is the
+    identity's layer support.
     """
     o = _frac(q_order)
+    top = _ceil(o)
     zmin, zmax = window
     factors: list[tuple[int, int, int]] = []  # (q-exponent, z-shift, sign)
     n = 1
@@ -195,20 +203,25 @@ def quintuple_rhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
     factors.sort()
     state: dict[int, dict[int, int]] = {0: {0: 1}, 1: {0: 1}}  # the (1+z) prefactor
     for q_exp, z_shift, sign in factors:
-        addition: dict[int, dict[int, int]] = {}
-        for k, layer in state.items():
-            target = addition.setdefault(k + z_shift, {})
-            for e, c in layer.items():
-                if e + q_exp < o:
-                    target[e + q_exp] = target.get(e + q_exp, 0) + sign * c
-        for k, extra in addition.items():
-            layer = state.setdefault(k, {})
-            for e, c in extra.items():
-                val = layer.get(e, 0) + c
-                if val:
-                    layer[e] = val
-                elif e in layer:
-                    del layer[e]
+        lim = top - q_exp
+        for k in sorted(state, reverse=z_shift > 0):
+            dest = k + z_shift
+            target = state.get(dest, {})
+            source = state[k].items()
+            if z_shift == 0:  # source and target are one layer: read a copy
+                source = list(source)
+            for e, c in source:
+                if e < lim:
+                    e += q_exp
+                    val = target.get(e, 0) + sign * c
+                    if val:
+                        target[e] = val
+                    else:
+                        del target[e]
+            if target:
+                state[dest] = target
+            else:
+                state.pop(dest, None)
     layers = {
         k: _build({Fraction(e): Fraction(c) for e, c in layer.items()}, o)
         for k, layer in state.items()

@@ -21,6 +21,7 @@ from .series import (
     PuiseuxSeries,
     Rational,
     _build,
+    _ceil,
     _frac,
     invert,
     mul,
@@ -148,10 +149,6 @@ def _minimal_char(s: int, t: int, m: int, n: int, order: Fraction) -> PuiseuxSer
     theta_series = _build(theta, oshift)
     result = mul(theta_series, invert(euler_phi(oshift)))
     return _build({e + prefactor: v for e, v in result.terms}, order)
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 _RR_SPECS = {
@@ -284,7 +281,7 @@ def lowest_weight_from_char(f: PuiseuxSeries, c: Rational) -> Fraction:
 _NAME_RE = re.compile(
     r"(?P<base>chi:\d+,\d+,\d+,\d+|rr:[12]|a22:(?:basic|2L1|L0)"
     r"|w:(?:tau1/40|tau1/8|2/5|0)|fkw)"
-    r"(?:@(?P<signed>-?)q\^(?P<power>\d+(?:/\d+)?))?$"
+    r"(?:@(?P<signed>-?)q\^(?P<power>0*[1-9]\d*(?:/0*[1-9]\d*)?))?$"
 )
 
 
@@ -293,7 +290,7 @@ def named_series(name: str, order: Rational) -> PuiseuxSeries:
 
     Accepted: chi:s,t,m,n, rr:1, rr:2, a22:basic|2L1|L0, w:0|2/5|tau1/40|tau1/8
     and fkw, each optionally rescaled with a suffix @q^r (substitute) or @-q^r
-    (signed substitute).
+    (signed substitute), r a positive integer or p/q.
     """
     o = _frac(order)
     m = _NAME_RE.fullmatch(name.strip())

@@ -2,8 +2,10 @@
 linear relations.
 
 Exit status: 0 on success or all-PASS, 1 when a verification finds a
-mismatch, 2 on usage errors and unknown names or ids, 3 when an order or
-window is insufficient.  Results go to stdout, diagnostics to stderr.
+mismatch, 2 on usage errors, unknown names or ids and malformed inputs
+(a zero denominator or substitution exponent, a zero series under inv),
+3 when an order or window is insufficient.  Results go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .characters import UnknownNameError, named_series
-from .series import PuiseuxSeries, to_text
+from .series import EmptySeriesError, PuiseuxSeries, to_text
 from .verify import (
     IdentityRecord,
     InsufficientRowsError,
@@ -37,7 +39,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
 
-_ORDER_RE = re.compile(r"-?\d+(?:/\d+)?$")
+_ORDER_RE = re.compile(r"-?\d+(?:/0*[1-9]\d*)?$")
 
 
 class UsageError(Exception):
@@ -61,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 def _order_arg(text: str) -> Fraction:
     if not _ORDER_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(
-            f"order must be an integer or p/q fraction, got {text!r}"
+            f"order must be an integer or p/q fraction with q > 0, got {text!r}"
         )
     return Fraction(text)
 
@@ -253,10 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return execute(cmd)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError, EmptySeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

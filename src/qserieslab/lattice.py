@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .products import euler_phi
-from .series import PuiseuxSeries, Rational, _build, _frac, invert, mul
+from .series import PuiseuxSeries, Rational, _build, _ceil, _frac, invert, mul
 
 __all__ = [
     "RootVector",
@@ -151,10 +151,6 @@ def fkw_character(order: Rational, *, window_margin: int = 0) -> PuiseuxSeries:
     phi_inv = invert(euler_phi(oshift))
     result = mul(_build(theta, oshift), mul(phi_inv, phi_inv))
     return _build({e + prefactor: c for e, c in result.terms}, o)
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .series import PuiseuxSeries, Rational, _build, _frac
+from .series import PuiseuxSeries, Rational, _build, _ceil, _frac
 
 __all__ = ["ProductFactor", "ProductSpec", "expand_product", "euler_phi"]
 
@@ -68,8 +68,7 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
         return PuiseuxSeries(1, o, ())
 
     unit = Fraction(1, _grid(spec, cutoff))
-    length = cutoff / unit
-    size = int(length) + (1 if length.denominator != 1 else 0)
+    size = _ceil(cutoff / unit)
     coeffs = [0] * size
     coeffs[0] = 1
     for fac in spec.factors:

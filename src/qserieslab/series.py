@@ -65,6 +65,10 @@ def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _ceil(x: Fraction) -> int:
+    return -((-x.numerator) // x.denominator)
+
+
 @dataclass(frozen=True)
 class Mismatch:
     """First disagreeing coefficient found by compare()."""
@@ -350,8 +354,7 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
     if len(a.terms) == 1:
         return _build({-h: 1 / c0}, order)
     g = _stride(list(a.terms))
-    length = (order + h) / g
-    count = int(length) + (1 if length.denominator != 1 else 0)
+    count = _ceil((order + h) / g)
     coeffs = [Fraction(0)] * (int((a.terms[-1][0] - h) / g) + 1)
     for e, c in a.terms:
         coeffs[int((e - h) / g)] = c
@@ -468,7 +471,10 @@ def from_text(text: str) -> PuiseuxSeries:
 
 
 def _parse_frac(s: str) -> Fraction:
+    """Parse `p` or `p/q` exactly; a zero denominator raises ValueError."""
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))

@@ -33,6 +33,7 @@ from .series import (
     PuiseuxSeries,
     Rational,
     _frac,
+    _parse_frac,
     add,
     compare,
     invert,
@@ -273,10 +274,21 @@ _MAX_PASSES = 5
 
 
 def check_record(record: IdentityRecord, order: Optional[Rational] = None) -> VerificationReport:
-    """Evaluate both sides and compare below min(order, certified orders)."""
+    """Evaluate both sides and compare below min(order, certified orders).
+
+    A pass whose certified order min(lhs.order, rhs.order) falls short of the
+    target is retried with the request raised by the shortfall, at most
+    _MAX_PASSES times.  Retrying stops as soon as a pass certifies no more
+    than the best earlier one (for example when a fixed z-window caps the
+    order); the last pass is compared.  Stopping early cannot produce a
+    false PASS: every pass is exact below its own certified order, and PASS
+    still needs that order to reach the target, so stopping can only turn a
+    later PASS into INSUFFICIENT_ORDER.
+    """
     target = _frac(order) if order is not None else record.default_order
     started = time.perf_counter()
     request = target
+    best: Optional[Fraction] = None
     lhs: Value
     rhs: Value
     try:
@@ -284,8 +296,9 @@ def check_record(record: IdentityRecord, order: Optional[Rational] = None) -> Ve
             lhs = evaluate(record.lhs, request)
             rhs = evaluate(record.rhs, request)
             certified = min(lhs.order, rhs.order)
-            if certified >= target:
+            if certified >= target or (best is not None and certified <= best):
                 break
+            best = certified
             request = request + (target - certified)
     except bv.InsufficientWindowError:
         elapsed = int((time.perf_counter() - started) * 1000)
@@ -542,7 +555,7 @@ def _bareiss_echelon(matrix: list[list[int]], cols: int) -> tuple[list[list[int]
 _NAME_TOKEN = re.compile(
     r"(?:chi:\d+,\d+,\d+,\d+|rr:[12]|a22:(?:basic|2L1|L0)"
     r"|w:(?:tau1/40|tau1/8|2/5|0)|fkw)"
-    r"(?:@-?q\^\d+(?:/\d+)?)?"
+    r"(?:@-?q\^0*[1-9]\d*(?:/0*[1-9]\d*)?)?"
 )
 _NUMBER_TOKEN = re.compile(r"-?\d+(?:/\d+)?")
 _FUNC_TOKEN = re.compile(r"(subsigned|sub|inv|mono)\s*\(")
@@ -601,6 +614,9 @@ class _ExprParser:
         self.pos += 1
         return tok[1]
 
+    def _number(self) -> Fraction:
+        return _parse_frac(self._take("number"))
+
     def _expr(self) -> Expr:
         node = self._term()
         while True:
@@ -641,12 +657,14 @@ class _ExprParser:
             if value in ("sub", "subsigned"):
                 child = self._expr()
                 self._take("punct", ",")
-                ratio = Fraction(self._take("number"))
+                ratio = self._number()
+                if ratio <= 0:
+                    raise ValueError(f"{value} ratio must be positive, got {ratio}")
                 self._take("punct", ")")
                 return Subst(child, ratio) if value == "sub" else SubstSigned(child, ratio)
-            coeff = Fraction(self._take("number"))
+            coeff = self._number()
             self._take("punct", ",")
-            exponent = Fraction(self._take("number"))
+            exponent = self._number()
             self._take("punct", ")")
             return Mono(coeff, exponent)
         raise ValueError(f"unexpected token {tok} in expression")
@@ -671,12 +689,16 @@ def parse_registry_text(text: str) -> list[IdentityRecord]:
         rec_id, order_text, lhs_text, rhs_text = parts
         if not rec_id:
             raise ValueError(f"line {lineno}: empty identity id")
+        try:
+            order = Fraction(order_text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {lineno}: bad order {order_text!r}") from None
         records.append(
             IdentityRecord(
                 rec_id,
                 parse_expression(lhs_text),
                 parse_expression(rhs_text),
-                Fraction(order_text),
+                order,
             )
         )
     return records

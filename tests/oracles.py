@@ -8,6 +8,7 @@ by dynamic programming.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def partition_counts(parts: list[int], n_max: int) -> list[int]:
@@ -74,3 +75,34 @@ def minimal_char_offsets(s: int, t: int, m: int, n: int, steps: int) -> list[int
         k += 1
     p = partition_counts(list(range(1, steps)), steps - 1)
     return [sum(theta[j] * p[i - j] for j in range(i + 1)) for i in range(steps)]
+
+
+
+@lru_cache(maxsize=None)
+def _quintuple_product(order: Fraction) -> tuple[tuple[tuple[int, int], int], ...]:
+    poly = {(0, 0): 1, (1, 0): 1}  # (z-exponent, q-exponent) -> coefficient
+    n = 1
+    while 2 * n < order:
+        a, b = 2 * n, 4 * n - 2
+        # factor instance (1 + sign * q^dq * z^dz) for this n
+        for dz, dq, sign in ((0, a, -1), (1, a, 1), (-1, a, 1), (2, b, -1), (-2, b, -1)):
+            grown = dict(poly)
+            for (z, e), c in poly.items():
+                if e + dq < order:
+                    grown[(z + dz, e + dq)] = grown.get((z + dz, e + dq), 0) + sign * c
+            poly = {key: c for key, c in grown.items() if c}
+        n += 1
+    return tuple(poly.items())
+
+
+def quintuple_product_layers(order: Fraction, window: tuple[int, int]) -> dict[int, dict[int, int]]:
+    """Layers z^k, k in the window, of the quintuple product below q^order:
+    (1+z) * prod over n >= 1 of (1-q^(2n)) (1+q^(2n)z) (1+q^(2n)/z)
+    (1-q^(4n-2)z^2) (1-q^(4n-2)/z^2), multiplied out one factor instance at
+    a time on a {(z-exponent, q-exponent): coefficient} dict."""
+    zmin, zmax = window
+    layers: dict[int, dict[int, int]] = {}
+    for (z, e), c in _quintuple_product(Fraction(order)):
+        if zmin <= z <= zmax:
+            layers.setdefault(z, {})[e] = c
+    return layers

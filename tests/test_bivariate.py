@@ -25,6 +25,7 @@ from qserieslab.bivariate import (
 )
 from qserieslab.products import ProductFactor, ProductSpec
 from qserieslab.lattice import ThetaBranch, ThetaSumSpec
+from oracles import quintuple_product_layers
 
 
 def quintuple_layer_oracle(k: int, top: int) -> dict[int, int]:
@@ -73,6 +74,16 @@ class TestQuintupleRHS:
         lhs = quintuple_lhs(F(order), window)
         rhs = quintuple_rhs(F(order), window)
         assert compare_bivariate(lhs, rhs, order) is None
+
+
+class TestQuintupleRHSOracle:
+    @pytest.mark.parametrize("window", [(-6, 6), (-25, 25), (-3, 10)])
+    @pytest.mark.parametrize("order", [F(8), F(37, 2), F(1308, 5), F(240)])
+    def test_matches_brute_force_product(self, order, window):
+        rhs = quintuple_rhs(order, window)
+        assert (rhs.order, rhs.zmin, rhs.zmax) == (order, *window)
+        layers = {k: dict(layer.terms) for k, layer in rhs.layers}
+        assert layers == quintuple_product_layers(order, window)
 
 
 class TestBivariateTheta:

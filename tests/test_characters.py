@@ -213,7 +213,20 @@ class TestNamedSeries:
 
     @pytest.mark.parametrize(
         "bad",
-        ["chi:2,5,1", "chi:4,6,1,1", "rr:3", "a22:foo", "w:1/15+", "chi:2,5,1,1@q^", "phi", "chi:2,5,1,1@q^-2"],
+        [
+            "chi:2,5,1",
+            "chi:4,6,1,1",
+            "rr:3",
+            "a22:foo",
+            "w:1/15+",
+            "chi:2,5,1,1@q^",
+            "phi",
+            "chi:2,5,1,1@q^-2",
+            "rr:1@q^0",
+            "rr:1@-q^0/3",
+            "rr:1@q^1/0",
+            "fkw@q^00",
+        ],
     )
     def test_unknown_names_rejected(self, bad):
         with pytest.raises(UnknownNameError):

@@ -182,6 +182,37 @@ class TestMainUsage:
         assert code == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "rr:1@q^0"],
+            ["expand", "rr:1", "--order", "1/0"],
+            ["verify", "RR-1", "--order", "1/0"],
+        ],
+    )
+    def test_zero_divisor_arguments_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert not out
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "X | 1/0 | rr:1 | rr:1",
+            "X | 10 | sub(rr:1,0) | rr:1",
+            "X | 10 | subsigned(rr:1,0) | rr:1",
+            "X | 10 | inv(rr:1 - rr:1) | rr:1",
+        ],
+    )
+    def test_bad_registry_entry_exits_two(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.registry"
+        path.write_text(line + "\n")
+        code, out, err = run(capsys, "verify-all", "--registry", str(path))
+        assert code == 2
+        assert not out
+        assert len(err.splitlines()) == 1
+
     def test_execute_rejects_nothing_silently(self, capsys):
         code, out, err = run(capsys)
         assert code == 2

@@ -222,7 +222,10 @@ class TestTextFormat:
         s = PuiseuxSeries(60, F(311, 60), ((F(11, 60), F(1)),))
         assert to_text(s) == "D=60 O=311/60\n11/60 1/1\n"
 
-    @pytest.mark.parametrize("bad", ["", "O=1/1 D=2", "D=x O=1/1", "D=2 O=1/1\n1/2"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "O=1/1 D=2", "D=x O=1/1", "D=2 O=1/1\n1/2", "D=1 O=1/0", "D=1 O=5\n1/0 1/1", "D=1 O=5\n1/1 1/0"],
+    )
     def test_malformed_rejected(self, bad):
         from qserieslab import FormatError
 

@@ -23,6 +23,7 @@ from qserieslab import (
     twisted_trace,
     zero,
 )
+from qserieslab import verify
 from qserieslab.characters import WModule
 from qserieslab.verify import (
     Add,
@@ -152,6 +153,39 @@ class TestCheck:
         assert report.order_checked == 30
 
 
+class TestRetryStop:
+    @staticmethod
+    def _certified_per_pass(monkeypatch, identity_id, order):
+        """Run check() and return (report, certified order of every pass)."""
+        record = next(r for r in registry() if r.id == identity_id)
+        sides = []
+        original = verify.evaluate
+
+        def counting(expr, request):
+            value = original(expr, request)
+            if expr is record.lhs or expr is record.rhs:
+                sides.append(value.order)
+            return value
+
+        monkeypatch.setattr(verify, "evaluate", counting)
+        report = check(identity_id, order)
+        return report, [min(sides[i : i + 2]) for i in range(0, len(sides), 2)]
+
+    def test_window_capped_check_stops_after_futile_pass(self, monkeypatch):
+        report, certified = self._certified_per_pass(monkeypatch, "SPECIALIZE-R", 600)
+        assert certified == [546, 546]
+        assert report.status is Status.INSUFFICIENT_ORDER
+        assert report.order_checked == 546
+
+    @pytest.mark.parametrize("identity_id", ["RAMANUJAN", "DECOMP-1.4"])
+    def test_useful_retry_still_reaches_target(self, monkeypatch, identity_id):
+        report, certified = self._certified_per_pass(monkeypatch, identity_id, 500)
+        assert len(certified) == 2
+        assert certified[0] < 500 <= certified[1]
+        assert report.status is Status.PASS
+        assert report.order_checked == 500
+
+
 class TestDiscover:
     def test_min1_relation(self):
         series = [named_series(n, F(30)) for n in ("chi:5,6,1,2", "chi:5,6,1,4", "chi:2,5,1,1@q^1/2")]
@@ -261,7 +295,24 @@ class TestExpressionGrammar:
         assert isinstance(expr, Sub)
         assert isinstance(expr.left, Sub)
 
-    @pytest.mark.parametrize("bad", ["", "rr:1 +", "sub(rr:1)", "mono(1)", "rr:1 rr:2", "inv rr:1", "chi:2,5"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "",
+            "rr:1 +",
+            "sub(rr:1)",
+            "mono(1)",
+            "rr:1 rr:2",
+            "inv rr:1",
+            "chi:2,5",
+            "sub(rr:1,0)",
+            "subsigned(rr:1,0)",
+            "sub(rr:1,-1/2)",
+            "sub(rr:1,1/0)",
+            "mono(1,1/0)",
+            "rr:1@q^0",
+        ],
+    )
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_expression(bad)
@@ -287,3 +338,7 @@ class TestRegistryText:
     def test_empty_id(self):
         with pytest.raises(ValueError):
             parse_registry_text(" | 10 | rr:1 | rr:1")
+
+    def test_zero_denominator_order(self):
+        with pytest.raises(ValueError, match="line 1"):
+            parse_registry_text("A | 1/0 | rr:1 | rr:1")
