@@ -13,17 +13,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from . import lattice
-from .products import ProductFactor, ProductSpec, expand_product, euler_phi
+from .products import ProductFactor, ProductSpec, expand_product
 from .series import (
     PuiseuxSeries,
     Rational,
     _build,
-    _ceil,
     _frac,
-    invert,
     mul,
     substitute,
     substitute_signed,
@@ -109,9 +107,15 @@ def conformal_weight(label: CharLabel) -> Fraction:
 def minimal_char(label: CharLabel, order: Rational) -> PuiseuxSeries:
     """Normalized character q^(h - c/24) / (q)_inf * alternating k-sum.
 
-    The k-sum runs over q^(st*k^2) * (q^(k(mt-ns)) - q^((mt+ns)k + mn)).
+    The k-sum runs over q^(st*k^2) * (q^(k(mt-ns)) - q^((mt+ns)k + mn)),
+    that is theta_sum(ThetaSumSpec(st, (ThetaBranch(mt-ns, 0, +1),
+    ThetaBranch(mt+ns, mn, -1)))), and 1/(q)_inf is the reciprocal product.
     """
     return _minimal_char(label.s, label.t, label.m, label.n, _frac(order))
+
+
+# 1/(q)_inf as a product of reciprocal factors 1/(1 - q^i), i >= 1.
+_RECIPROCAL_PHI = ProductSpec((ProductFactor(1, Fraction(1), Fraction(1), -1),))
 
 
 @lru_cache(maxsize=None)
@@ -122,32 +126,11 @@ def _minimal_char(s: int, t: int, m: int, n: int, order: Fraction) -> PuiseuxSer
     oshift = order - prefactor
     if oshift <= 0:
         return PuiseuxSeries(1, order, ())
-    st = s * t
-    lin_a = m * t - n * s
-    lin_b = m * t + n * s
-    mn = m * n
-
-    # Window: the stated conservative bound, extended while the boundary ring
-    # could still contribute (st*k^2 dominates both linear terms for |k| >= 1).
-    k_spec = isqrt(max(0, _ceil(oshift + abs(lin_a) + mn + 1) // st)) + 2
-    biggest = max(abs(lin_a), lin_b)
-    theta: dict[Fraction, Fraction] = {}
-
-    def emit(k: int) -> None:
-        for exp, sign in ((st * k * k + lin_a * k, 1), (st * k * k + lin_b * k + mn, -1)):
-            e = Fraction(exp)
-            if e < oshift:
-                prev = theta.get(e)
-                theta[e] = Fraction(sign) if prev is None else prev + sign
-
-    emit(0)
-    k = 1
-    while k <= k_spec or st * k * k - biggest * k < oshift:
-        emit(k)
-        emit(-k)
-        k += 1
-    theta_series = _build(theta, oshift)
-    result = mul(theta_series, invert(euler_phi(oshift)))
+    spec = lattice.ThetaSumSpec(
+        s * t,
+        (lattice.ThetaBranch(m * t - n * s, 0, 1), lattice.ThetaBranch(m * t + n * s, m * n, -1)),
+    )
+    result = mul(lattice.theta_sum(spec, oshift), expand_product(_RECIPROCAL_PHI, oshift))
     return _build({e + prefactor: v for e, v in result.terms}, order)
 
 
@@ -169,7 +152,6 @@ _RR_SPECS = {
 }
 
 
-@lru_cache(maxsize=None)
 def rr_product(variant: int, order: Rational) -> PuiseuxSeries:
     """Rogers-Ramanujan products: variant 1 over residues {2,3} mod 5 with
     prefactor q^(11/60), variant 2 over {1,4} mod 5 with q^(-1/60)."""
@@ -281,7 +263,7 @@ def lowest_weight_from_char(f: PuiseuxSeries, c: Rational) -> Fraction:
 _NAME_RE = re.compile(
     r"(?P<base>chi:\d+,\d+,\d+,\d+|rr:[12]|a22:(?:basic|2L1|L0)"
     r"|w:(?:tau1/40|tau1/8|2/5|0)|fkw)"
-    r"(?:@(?P<signed>-?)q\^(?P<power>0*[1-9]\d*(?:/0*[1-9]\d*)?))?$"
+    r"(?:@(?P<signed>-?)q\^(?P<power>0*[1-9]\d*(?:/0*[1-9]\d*)?))?"
 )
 
 

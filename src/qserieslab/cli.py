@@ -3,7 +3,8 @@ linear relations.
 
 Exit status: 0 on success or all-PASS, 1 when a verification finds a
 mismatch, 2 on usage errors, unknown names or ids and malformed inputs
-(a zero denominator or substitution exponent, a zero series under inv),
+(a zero denominator or substitution exponent, a zero series under inv,
+a signed substitution of a series whose exponent steps are not integers),
 3 when an order or window is insufficient.  Results go to stdout,
 diagnostics to stderr.
 """
@@ -19,13 +20,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .characters import UnknownNameError, named_series
-from .series import EmptySeriesError, PuiseuxSeries, to_text
+from .series import EmptySeriesError, GradingError, PuiseuxSeries, to_text
 from .verify import (
     IdentityRecord,
     InsufficientRowsError,
     Status,
     UnknownIdentityError,
     VerificationReport,
+    check,
     check_record,
     discover,
     load_registry,
@@ -189,20 +191,12 @@ def _run_expand(cmd: Command) -> int:
     return EXIT_OK
 
 
-def _find(records: Sequence[IdentityRecord], identity_id: str) -> IdentityRecord:
-    for record in records:
-        if record.id == identity_id:
-            return record
-    raise UnknownIdentityError(identity_id)
-
-
 def _run_verify(cmd: Command) -> int:
     try:
-        record = _find(_load(cmd), cmd.targets[0])
+        report = check(cmd.targets[0], cmd.order, _load(cmd))
     except UnknownIdentityError:
         print(f"error: unknown identity id {cmd.targets[0]!r}", file=sys.stderr)
         return EXIT_USAGE
-    report = check_record(record, cmd.order)
     print(_report_json(report) if cmd.machine else _report_text(report))
     return _status_exit([report.status])
 
@@ -255,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return execute(cmd)
-    except (FileNotFoundError, ValueError, EmptySeriesError) as exc:
+    except (FileNotFoundError, ValueError, EmptySeriesError, GradingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .products import euler_phi
-from .series import PuiseuxSeries, Rational, _build, _ceil, _frac, invert, mul
+from .products import ProductFactor, ProductSpec, expand_product
+from .series import PuiseuxSeries, Rational, _build, _ceil, _frac, mul
 
 __all__ = [
     "RootVector",
@@ -120,6 +120,10 @@ def weyl_group() -> tuple[WeylElement, ...]:
     )
 
 
+# 1/(q)_inf^2 as a product of squared reciprocal factors 1/(1 - q^i)^2, i >= 1.
+_RECIPROCAL_PHI_SQUARED = ProductSpec((ProductFactor(1, Fraction(1), Fraction(1), -2),))
+
+
 @lru_cache(maxsize=None)
 def fkw_character(order: Rational, *, window_margin: int = 0) -> PuiseuxSeries:
     """Lattice-sum vacuum character of the simple affine W-algebra at c = 4/5.
@@ -127,9 +131,12 @@ def fkw_character(order: Rational, *, window_margin: int = 0) -> PuiseuxSeries:
     q^(-1/12) * (q)_inf^(-2) * sum over (m, n) in Z^2 and the Weyl group of
     sign(w) * q^(|5w(rho) + 20n*alpha1 + 20m*alpha2 - 4rho|^2 / 40).
 
-    The (m, n) window is the conservative bound from |20(n,m)| >= 20*max(|m|,|n|)
-    and |5w(rho)-4rho| < 13; every candidate term is additionally pruned by its
-    exact exponent.  `window_margin` widens the window for stability checks.
+    With (sx, sy) = 5w(rho) - 4rho and vx = sx + 20n, the exponent for fixed
+    (w, n) is the quadratic 20m^2 + (2sy - vx)m + (vx^2 - vx*sy + sy^2)/20 in
+    m, so each (w, n) is one branch of a single theta_sum over m, which is
+    exact in m.  The only bound is the n-window, from |20n*alpha1 + 20m*alpha2|
+    >= 20|n| and |5w(rho)-4rho| < 13.  `window_margin` widens it for
+    stability checks.
     """
     o = _frac(order)
     prefactor = Fraction(-1, 12)
@@ -137,19 +144,15 @@ def fkw_character(order: Rational, *, window_margin: int = 0) -> PuiseuxSeries:
     if oshift <= 0:
         return PuiseuxSeries(1, o, ())
     bound = (isqrt(_ceil(40 * (oshift + 2))) + 33) // 20 + 1 + window_margin
-    images = [(w.apply(RHO).scaled(5) - RHO.scaled(4), w.sign) for w in weyl_group()]
-    theta: dict[Fraction, Fraction] = {}
-    for shifted, sign in images:
+    branches = []
+    for w in weyl_group():
+        shifted = w.apply(RHO).scaled(5) - RHO.scaled(4)
+        sx, sy = shifted.x1, shifted.x2
         for n in range(-bound, bound + 1):
-            vx = shifted.x1 + 20 * n
-            for m in range(-bound, bound + 1):
-                vy = shifted.x2 + 20 * m
-                e = (2 * vx * vx - 2 * vx * vy + 2 * vy * vy) / 40
-                if e < oshift:
-                    prev = theta.get(e)
-                    theta[e] = Fraction(sign) if prev is None else prev + sign
-    phi_inv = invert(euler_phi(oshift))
-    result = mul(_build(theta, oshift), mul(phi_inv, phi_inv))
+            vx = sx + 20 * n
+            branches.append(ThetaBranch(2 * sy - vx, (vx * vx - vx * sy + sy * sy) / 20, w.sign))
+    theta = theta_sum(ThetaSumSpec(Fraction(20), tuple(branches)), oshift)
+    result = mul(theta, expand_product(_RECIPROCAL_PHI_SQUARED, oshift))
     return _build({e + prefactor: c for e, c in result.terms}, o)
 
 

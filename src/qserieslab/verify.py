@@ -24,7 +24,7 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import bivariate as bv
-from .characters import named_series
+from .characters import _NAME_RE, named_series
 from .lattice import ThetaBranch, ThetaSumSpec, theta_sum
 from .products import ProductFactor, ProductSpec, expand_product
 from .series import (
@@ -552,11 +552,6 @@ def _bareiss_echelon(matrix: list[list[int]], cols: int) -> tuple[list[list[int]
 # Registry text format
 # --------------------------------------------------------------------------
 
-_NAME_TOKEN = re.compile(
-    r"(?:chi:\d+,\d+,\d+,\d+|rr:[12]|a22:(?:basic|2L1|L0)"
-    r"|w:(?:tau1/40|tau1/8|2/5|0)|fkw)"
-    r"(?:@-?q\^0*[1-9]\d*(?:/0*[1-9]\d*)?)?"
-)
 _NUMBER_TOKEN = re.compile(r"-?\d+(?:/\d+)?")
 _FUNC_TOKEN = re.compile(r"(subsigned|sub|inv|mono)\s*\(")
 
@@ -569,7 +564,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
         if ch.isspace():
             i += 1
             continue
-        m = _NAME_TOKEN.match(text, i)
+        m = _NAME_RE.match(text, i)
         if m:
             tokens.append(("name", m.group()))
             i = m.end()

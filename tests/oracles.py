@@ -77,6 +77,31 @@ def minimal_char_offsets(s: int, t: int, m: int, n: int, steps: int) -> list[int
     return [sum(theta[j] * p[i - j] for j in range(i + 1)) for i in range(steps)]
 
 
+# The six Weyl images w(rho) of rho = alpha1 + alpha2 in the simple-root basis
+# (the six roots of A2), with sign(w).
+_A2_RHO_IMAGES = (((1, 1), 1), ((0, 1), -1), ((1, 0), -1), ((-1, 0), 1), ((0, -1), 1), ((-1, -1), -1))
+
+
+def fkw_offsets(steps: int) -> list[int]:
+    """Coefficients of the lattice-sum character at integer offsets
+    0..steps-1 above its leading exponent -1/30: sign(w) q^(|v|^2/40) summed
+    over v = 5w(rho) - 4rho + 20n*alpha1 + 20m*alpha2 by a plain double loop
+    over (m, n), then divided by (q)_inf^2 as a convolution with two-colour
+    partition counts.  |x*alpha1 + y*alpha2|^2 = 2(x^2 - xy + y^2)."""
+    theta = [0] * steps
+    r = steps + 2  # |x| >= 20|n| - 9, so |n| > steps lands far above the range
+    for (a, b), sign in _A2_RHO_IMAGES:
+        for n in range(-r, r + 1):
+            for m in range(-r, r + 1):
+                x, y = 5 * a - 4 + 20 * n, 5 * b - 4 + 20 * m
+                k, rem = divmod(x * x - x * y + y * y - 1, 20)
+                assert rem == 0, "every exponent sits an integer above 1/20"
+                if k < steps:
+                    theta[k] += sign
+    p = partition_counts(list(range(1, steps)) * 2, steps - 1)
+    return [sum(theta[j] * p[i - j] for j in range(i + 1)) for i in range(steps)]
+
+
 
 @lru_cache(maxsize=None)
 def _quintuple_product(order: Fraction) -> tuple[tuple[tuple[int, int], int], ...]:

@@ -66,6 +66,13 @@ class TestMinimalChar:
         assert [s.coefficient(lead + k) for k in range(12)] == expected
         assert expected[:5] == [1, 0, 1, 1, 2]
 
+    @pytest.mark.parametrize("label", [(2, 5, 1, 2), (3, 4, 2, 2), (7, 2, 3, 1), (11, 13, 5, 7)])
+    def test_large_linear_terms_against_oracle(self, label):
+        lead = conformal_weight(CharLabel(*label)) - central_charge(*label[:2]) / 24
+        s = minimal_char(CharLabel(*label), lead + 60)
+        assert all((e - lead).denominator == 1 for e, _ in s.terms)
+        assert [s.coefficient(lead + k) for k in range(60)] == minimal_char_offsets(*label, 60)
+
     def test_leading_exponent_from_weight(self):
         s = minimal_char(CharLabel(5, 6, 1, 5), F(4))
         assert s.leading_exponent == F(3) - F(1, 30)

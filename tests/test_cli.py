@@ -203,12 +203,26 @@ class TestMainUsage:
             "X | 10 | sub(rr:1,0) | rr:1",
             "X | 10 | subsigned(rr:1,0) | rr:1",
             "X | 10 | inv(rr:1 - rr:1) | rr:1",
+            "X | 50 | subsigned(chi:2,5,1,1@q^1/2, 1) | rr:1",
         ],
     )
     def test_bad_registry_entry_exits_two(self, capsys, tmp_path, line):
         path = tmp_path / "bad.registry"
         path.write_text(line + "\n")
         code, out, err = run(capsys, "verify-all", "--registry", str(path))
+        assert code == 2
+        assert not out
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "a22:basic@-q^1", "--order", "5"],
+            ["discover", "a22:basic@-q^1", "rr:1", "--order", "5"],
+        ],
+    )
+    def test_signed_substitution_off_integer_steps_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert not out
         assert len(err.splitlines()) == 1

@@ -22,7 +22,7 @@ from qserieslab import (
     weyl_group,
 )
 from qserieslab.series import monomial
-from oracles import pentagonal_sum
+from oracles import fkw_offsets, pentagonal_sum
 
 
 class TestGram:
@@ -101,6 +101,13 @@ class TestFkwCharacter:
 
     def test_window_enlargement_stability(self):
         assert fkw_character(F(25)) == fkw_character(F(25), window_margin=2)
+
+    @pytest.mark.parametrize("steps", [12, 40])
+    def test_against_lattice_oracle(self, steps):
+        lead = F(-1, 30)
+        s = fkw_character(lead + steps)
+        assert all((e - lead).denominator == 1 for e, _ in s.terms)
+        assert [s.coefficient(lead + k) for k in range(steps)] == fkw_offsets(steps)
 
     def test_summand_exponents_bounded_below(self):
         # observed minimum equals the leading exponent
