@@ -236,3 +236,57 @@ class TestTextFormat:
         s = monomial(1, 0, 1, 5)
         with pytest.raises(InsufficientOrderError):
             s.coefficient(5)
+
+
+class TestInvariants:
+    """Every check in PuiseuxSeries.__post_init__ raises its own error."""
+
+    def test_canonical_series_accepted(self):
+        s = PuiseuxSeries(6, F(5), ((F(-7, 3), F(2)), (F(-1, 6), F(-1, 2)), (F(0), 1), (F(29, 6), F(3))))
+        assert s.leading_exponent == F(-7, 3)
+
+    @pytest.mark.parametrize("grading", [0, -2])
+    def test_nonpositive_grading_rejected(self, grading):
+        with pytest.raises(GradingError):
+            PuiseuxSeries(grading, F(5), ())
+
+    @pytest.mark.parametrize(
+        "grading, exponent",
+        [(1, F(1, 2)), (2, F(1, 3)), (6, F(-1, 4)), (4, F(7, 12))],
+    )
+    def test_off_grid_exponent_rejected(self, grading, exponent):
+        with pytest.raises(GradingError):
+            PuiseuxSeries(grading, F(5), ((F(-1), F(1)), (exponent, F(1))))
+
+    def test_zero_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="zero coefficient"):
+            PuiseuxSeries(2, F(5), ((F(0), F(1)), (F(1, 2), F(0))))
+
+    @pytest.mark.parametrize(
+        "exponents", [(F(1), F(1)), (F(2), F(1)), (F(-1, 2), F(1), F(1, 2))]
+    )
+    def test_exponents_not_strictly_increasing_rejected(self, exponents):
+        terms = tuple((e, F(1)) for e in exponents)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PuiseuxSeries(2, F(5), terms)
+
+    @pytest.mark.parametrize("exponent", [F(5), F(11, 2), F(7)])
+    def test_term_at_or_beyond_order_rejected(self, exponent):
+        with pytest.raises(ValueError, match="beyond truncation order"):
+            PuiseuxSeries(2, F(5), ((F(0), F(1)), (exponent, F(1))))
+
+    def test_term_just_below_fractional_order_accepted(self):
+        s = PuiseuxSeries(6, F(31, 6), ((F(5), F(1)),))
+        assert s.terms == ((F(5), F(1)),)
+        with pytest.raises(ValueError, match="beyond truncation order"):
+            PuiseuxSeries(6, F(31, 6), ((F(31, 6), F(1)),))
+
+    def test_first_violation_wins(self):
+        # an off-grid exponent is reported before a later zero coefficient,
+        # and a zero coefficient before a later out-of-order exponent
+        with pytest.raises(GradingError):
+            PuiseuxSeries(1, F(5), ((F(1, 2), F(1)), (F(1), F(0))))
+        with pytest.raises(ValueError, match="zero coefficient"):
+            PuiseuxSeries(1, F(5), ((F(2), F(0)), (F(1), F(1))))
+        with pytest.raises(ValueError, match="beyond truncation order"):
+            PuiseuxSeries(1, F(5), ((F(6), F(1)), (F(1), F(1))))
