@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from . import lattice
@@ -22,6 +21,7 @@ from .series import (
     Rational,
     _build,
     _frac,
+    _highest_order_memo,
     mul,
     substitute,
     substitute_signed,
@@ -118,7 +118,7 @@ def minimal_char(label: CharLabel, order: Rational) -> PuiseuxSeries:
 _RECIPROCAL_PHI = ProductSpec((ProductFactor(1, Fraction(1), Fraction(1), -1),))
 
 
-@lru_cache(maxsize=None)
+@_highest_order_memo
 def _minimal_char(s: int, t: int, m: int, n: int, order: Fraction) -> PuiseuxSeries:
     c = central_charge(s, t)
     h = conformal_weight(CharLabel(s, t, m, n))
@@ -169,7 +169,7 @@ _A22_BASIC = ProductSpec(
 )
 
 
-@lru_cache(maxsize=None)
+@_highest_order_memo
 def a22_char(module: A22Module, order: Rational) -> PuiseuxSeries:
     """Twisted characters on the sixth-root grading.
 

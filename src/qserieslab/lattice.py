@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .products import ProductFactor, ProductSpec, expand_product
-from .series import PuiseuxSeries, Rational, _build, _ceil, _frac, mul
+from .series import PuiseuxSeries, Rational, _build, _ceil, _frac, _highest_order_memo, mul
 
 __all__ = [
     "RootVector",
@@ -124,7 +124,7 @@ def weyl_group() -> tuple[WeylElement, ...]:
 _RECIPROCAL_PHI_SQUARED = ProductSpec((ProductFactor(1, Fraction(1), Fraction(1), -2),))
 
 
-@lru_cache(maxsize=None)
+@_highest_order_memo
 def fkw_character(order: Rational, *, window_margin: int = 0) -> PuiseuxSeries:
     """Lattice-sum vacuum character of the simple affine W-algebra at c = 4/5.
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
+from operator import add, sub
 
-from .series import PuiseuxSeries, Rational, _build, _ceil, _frac
+from .series import PuiseuxSeries, Rational, _ceil, _frac, _from_grid, _highest_order_memo
 
 __all__ = ["ProductFactor", "ProductSpec", "expand_product", "euler_phi"]
 
@@ -54,6 +54,7 @@ class ProductSpec:
         object.__setattr__(self, "prefactor_coefficient", _frac(self.prefactor_coefficient))
 
 
+@_highest_order_memo
 def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
     """Exact expansion of the product mod q^order.
 
@@ -67,38 +68,32 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
     if spec.prefactor_coefficient == 0 or cutoff <= 0:
         return PuiseuxSeries(1, o, ())
 
-    unit = Fraction(1, _grid(spec, cutoff))
-    size = _ceil(cutoff / unit)
+    grid = _grid(spec, cutoff)
+    size = _ceil(cutoff * grid)
     coeffs = [0] * size
     coeffs[0] = 1
     for fac in spec.factors:
-        e = fac.start
-        while e < cutoff:
-            stride = int(e / unit)
+        if fac.start >= cutoff:
+            continue
+        for stride in range(int(fac.start * grid), size, int(fac.step * grid)):
             for _ in range(abs(fac.power)):
                 if fac.power > 0:
                     # multiply by (1 - s*q^e): subtract the shifted copy
-                    if fac.sign == 1:
-                        for i in range(size - 1, stride - 1, -1):
-                            coeffs[i] -= coeffs[i - stride]
-                    else:
-                        for i in range(size - 1, stride - 1, -1):
-                            coeffs[i] += coeffs[i - stride]
+                    op = sub if fac.sign == 1 else add
+                    coeffs[stride:] = map(op, coeffs[stride:], coeffs[: size - stride])
                 else:
-                    # multiply by sum_j (s*q^e)^j: prefix sums along the stride
-                    if fac.sign == 1:
-                        for i in range(stride, size):
-                            coeffs[i] += coeffs[i - stride]
-                    else:
-                        for i in range(stride, size):
-                            coeffs[i] -= coeffs[i - stride]
-            e += fac.step
-    out = {
-        spec.prefactor_exponent + i * unit: spec.prefactor_coefficient * c
-        for i, c in enumerate(coeffs)
-        if c
-    }
-    return _build(out, o)
+                    # multiply by sum_j (s*q^e)^j: prefix sums along the stride,
+                    # one block at a time, each reading the updated block below
+                    op = add if fac.sign == 1 else sub
+                    for i in range(stride, size, stride):
+                        coeffs[i : i + stride] = map(op, coeffs[i : i + stride], coeffs[i - stride : i])
+    pe = spec.prefactor_exponent
+    out_grid = lcm(grid, pe.denominator)
+    base = pe.numerator * (out_grid // pe.denominator)
+    unit = out_grid // grid
+    num, den = spec.prefactor_coefficient.numerator, spec.prefactor_coefficient.denominator
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    return _from_grid(out_grid, [base + i * unit for i in nonzero], [Fraction(coeffs[i] * num, den) for i in nonzero], o)
 
 
 def _grid(spec: ProductSpec, cutoff: Fraction) -> int:
@@ -110,7 +105,7 @@ def _grid(spec: ProductSpec, cutoff: Fraction) -> int:
     return d
 
 
-@lru_cache(maxsize=None)
+@_highest_order_memo
 def euler_phi(order: Rational) -> PuiseuxSeries:
     """The Euler function: the product of (1 - q^i) over i >= 1."""
     return expand_product(ProductSpec((ProductFactor(1, Fraction(1), Fraction(1)),)), order)

@@ -9,11 +9,16 @@ immutable; every operation is a pure function.
 
 from __future__ import annotations
 
+import inspect
+import threading
+from bisect import bisect_left
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from math import gcd, lcm
-from typing import Mapping, Optional, Union
+from operator import itemgetter
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 Rational = Union[Fraction, int, str]
 
@@ -86,19 +91,25 @@ class PuiseuxSeries:
     terms: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if self.grading < 1:
-            raise GradingError(f"grading denominator must be positive, got {self.grading}")
+        d = self.grading
+        if d < 1:
+            raise GradingError(f"grading denominator must be positive, got {d}")
+        # Checked on integers: e = n/den lies on the grid iff den divides d,
+        # and its grid numerator n*(d/den) orders the terms.
+        top = _ceil(self.order * d)
         prev = None
         for e, c in self.terms:
-            if (e * self.grading).denominator != 1:
-                raise GradingError(f"exponent {e} not on the (1/{self.grading})Z grid")
-            if c == 0:
+            den = e.denominator
+            if d % den:
+                raise GradingError(f"exponent {e} not on the (1/{d})Z grid")
+            if not c:
                 raise ValueError(f"zero coefficient stored at exponent {e}")
-            if e >= self.order:
+            k = e.numerator * (d // den)
+            if k >= top:
                 raise ValueError(f"term at {e} at or beyond truncation order {self.order}")
-            if prev is not None and e <= prev:
+            if prev is not None and k <= prev:
                 raise ValueError("exponents must be strictly increasing")
-            prev = e
+            prev = k
 
     @property
     def is_zero(self) -> bool:
@@ -162,6 +173,21 @@ def _build(mapping: Mapping[Fraction, Fraction], order: Fraction) -> PuiseuxSeri
     return PuiseuxSeries(grading, order, tuple(items))
 
 
+def _from_grid(grid: int, exps: Sequence[int], coefs: Sequence[Fraction], order: Fraction) -> PuiseuxSeries:
+    """Canonical series from ascending exponent numerators over `grid` and
+    their nonzero coefficients.
+
+    Drops the terms at or beyond the order; the grading denominator is reduced
+    to grid / gcd(grid, exps), the lcm of the exponent denominators.
+    """
+    exps = exps[: bisect_left(exps, _ceil(order * grid))]
+    terms = tuple(zip([Fraction(e, grid) for e in exps], coefs))
+    return PuiseuxSeries(grid // gcd(grid, *exps), order, terms)
+
+
+_exponent = itemgetter(0)
+
+
 def zero(order: Rational, grading: int = 1) -> PuiseuxSeries:
     return PuiseuxSeries(grading, _frac(order), ())
 
@@ -181,7 +207,71 @@ def truncate(a: PuiseuxSeries, order: Rational) -> PuiseuxSeries:
     o = _frac(order)
     if o > a.order:
         raise InsufficientOrderError(f"cannot extend order {a.order} to {o}")
-    return _build(dict(a.terms), o)
+    terms = a.terms[: bisect_left(a.terms, o, key=_exponent)]
+    return PuiseuxSeries(lcm(*(e.denominator for e, _ in terms)), o, terms)
+
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+# Keys held by each order-keyed memo before the least recently used goes.
+_MEMO_SIZE = 32
+
+
+def _highest_order_memo(fn: Callable[..., PuiseuxSeries]) -> Callable[..., PuiseuxSeries]:
+    """Memoise a function whose `order` argument is a truncation order.
+
+    The key is every other argument.  Each key holds one result, from the
+    highest order requested so far.  A request at that order gets it back; a
+    request below it gets truncate() of it, but only when the held result
+    certified exactly the order it was asked for, so that it is exact on the
+    whole of the smaller range.  Anything else is computed afresh.  At most
+    _MEMO_SIZE keys are held, the least recently used evicted first.
+    cache_info() and cache_clear() behave as for functools.lru_cache.
+    """
+    signature = inspect.signature(fn)
+    held: OrderedDict = OrderedDict()  # key -> (requested order, result)
+    lock = threading.Lock()  # guards `held` and the counts, not the call
+    hits = misses = 0
+
+    @wraps(fn)
+    def memo(*args, **kwargs):
+        nonlocal hits, misses
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        order = _frac(bound.arguments.pop("order"))
+        key = tuple(bound.arguments.items())
+        with lock:
+            request, result = held.get(key, (None, None))
+            served = request is not None and (order == request or (order < request and result.order == request))
+            if served:
+                held.move_to_end(key)
+                hits += 1
+            else:
+                misses += 1
+        if served:
+            return result if order == request else truncate(result, order)
+        result = fn(*args, **kwargs)
+        with lock:
+            entry = held.get(key)
+            if entry is None or order > entry[0]:
+                held[key] = (order, result)
+                held.move_to_end(key)
+                if len(held) > _MEMO_SIZE:
+                    held.popitem(last=False)
+        return result
+
+    def cache_info() -> _CacheInfo:
+        return _CacheInfo(hits, misses, _MEMO_SIZE, len(held))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        with lock:
+            held.clear()
+            hits = misses = 0
+
+    memo.cache_info = cache_info
+    memo.cache_clear = cache_clear
+    return memo
 
 
 def add(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
@@ -226,118 +316,93 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     if not a.terms or not b.terms:
         return PuiseuxSeries(1, order, ())
     # Terms that cannot influence exponents below the result order are pruned.
-    ta = [(e, c) for e, c in a.terms if e + b.terms[0][0] < order]
-    tb = [(e, c) for e, c in b.terms if e + a.terms[0][0] < order]
+    ta = a.terms[: bisect_left(a.terms, order - b.terms[0][0], key=_exponent)]
+    tb = b.terms[: bisect_left(b.terms, order - a.terms[0][0], key=_exponent)]
     if not ta or not tb:
         return PuiseuxSeries(1, order, ())
-    if len(ta) * len(tb) <= _NAIVE_LIMIT:
-        out: dict[Fraction, Fraction] = {}
-        for ea, ca in ta:
-            for eb, cb in tb:
-                e = ea + eb
-                if e < order:
-                    s = out.get(e)
-                    out[e] = ca * cb if s is None else s + ca * cb
-        return _build(out, order)
-    return _build(_kronecker_mul(ta, tb, order), order)
+    grid = lcm(a.grading, b.grading)
+    if len(ta) * len(tb) > _NAIVE_LIMIT:
+        return _kronecker_mul(ta, tb, order, grid)
+    ea, ca, den_a = _numerators(ta, grid)
+    eb, cb, den_b = _numerators(tb, grid)
+    top = _ceil(order * grid)
+    out: dict[int, int] = {}
+    for x, u in zip(ea, ca):
+        for y, v in zip(eb[: bisect_left(eb, top - x)], cb):
+            s = out.get(x + y)
+            out[x + y] = u * v if s is None else s + u * v
+    exps = sorted(e for e, v in out.items() if v)
+    den = den_a * den_b
+    return _from_grid(grid, exps, [Fraction(out[e], den) for e in exps], order)
 
 
-def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    return Fraction(gcd(a.numerator * b.denominator, b.numerator * a.denominator), a.denominator * b.denominator)
-
-
-def _stride(terms: list[tuple[Fraction, Fraction]]) -> Fraction:
-    """gcd of exponent offsets from the leading exponent (0 for a monomial)."""
-    base = terms[0][0]
-    g = Fraction(0)
-    for e, _ in terms[1:]:
-        g = _gcd_frac(g, e - base)
-    return g
+def _numerators(terms: Sequence[tuple[Fraction, Fraction]], grid: int) -> tuple[list[int], list[int], int]:
+    """Exponent numerators over `grid` and coefficient numerators over their
+    common denominator, which is returned third."""
+    den = lcm(*(c.denominator for _, c in terms))
+    exps = [e.numerator * (grid // e.denominator) for e, _ in terms]
+    coefs = [c.numerator * (den // c.denominator) for _, c in terms]
+    return exps, coefs, den
 
 
 def _kronecker_mul(
-    ta: list[tuple[Fraction, Fraction]],
-    tb: list[tuple[Fraction, Fraction]],
+    ta: Sequence[tuple[Fraction, Fraction]],
+    tb: Sequence[tuple[Fraction, Fraction]],
     order: Fraction,
-) -> dict[Fraction, Fraction]:
-    """Sparse product via packed big-integer multiplication.
+    grid: int,
+) -> PuiseuxSeries:
+    """Sparse product via one packed big-integer multiplication.
 
     Both operands are laid out densely on their common exponent stride, scaled
-    to integer coefficients, packed as little-endian fixed-width digits, and
-    multiplied with Python's native big-int arithmetic.  Signs are handled by
-    splitting each operand into positive and negative parts.
+    to integer coefficients and packed as little-endian signed digits of a
+    width that holds every coefficient of the product; Python's native
+    big-int product then does the convolution.
     """
-    ga = _stride(ta)
-    gb = _stride(tb)
-    g = _gcd_frac(ga, gb)
-    base_a, base_b = ta[0][0], tb[0][0]
+    ea, ca, den_a = _numerators(ta, grid)
+    eb, cb, den_b = _numerators(tb, grid)
+    base_a, base_b = ea[0], eb[0]
+    g = gcd(*(e - base_a for e in ea), *(e - base_b for e in eb))
     if g == 0:
         # Both operands are monomials.
-        e = base_a + base_b
-        return {e: ta[0][1] * tb[0][1]} if e < order else {}
-
-    den_a = 1
-    for _, c in ta:
-        den_a = lcm(den_a, c.denominator)
-    den_b = 1
-    for _, c in tb:
-        den_b = lcm(den_b, c.denominator)
-
-    ia = _dense_ints(ta, base_a, g, den_a)
-    ib = _dense_ints(tb, base_b, g, den_b)
-    bound = max(abs(v) for v in ia) * max(abs(v) for v in ib) * min(len(ia), len(ib)) + 1
+        return _from_grid(grid, [base_a + base_b], [Fraction(ca[0] * cb[0], den_a * den_b)], order)
+    ia = _dense(ea, ca, g)
+    ib = _dense(eb, cb, g)
+    bound = max(map(abs, ca)) * max(map(abs, cb)) * min(len(ia), len(ib)) + 1
     nbytes = (bound.bit_length() + 9) // 8
-
-    def split(vals: list[int]) -> tuple[int, int]:
-        pos = _pack([v if v > 0 else 0 for v in vals], nbytes)
-        neg = _pack([-v if v < 0 else 0 for v in vals], nbytes)
-        return pos, neg
-
-    ap, an = split(ia)
-    bp, bn = split(ib)
-    count = len(ia) + len(ib) - 1
-    acc = [0] * count
-    for prod, sign in ((ap * bp, 1), (an * bn, 1), (ap * bn, -1), (an * bp, -1)):
-        if prod:
-            for i, v in enumerate(_unpack(prod, nbytes, count)):
-                if v:
-                    acc[i] += sign * v
-
-    scale_back = Fraction(1, den_a * den_b)
+    count = min(len(ia) + len(ib) - 1, _ceil((order * grid - base_a - base_b) / g))
+    digits = _unpack(_pack(ia, nbytes) * _pack(ib, nbytes), nbytes, count)
     base = base_a + base_b
-    out: dict[Fraction, Fraction] = {}
-    for i, v in enumerate(acc):
-        if v:
-            e = base + i * g
-            if e < order:
-                out[e] = v * scale_back
-    return out
+    den = den_a * den_b
+    nonzero = [i for i, v in enumerate(digits) if v]
+    return _from_grid(grid, [base + i * g for i in nonzero], [Fraction(digits[i], den) for i in nonzero], order)
 
 
-def _dense_ints(terms: list[tuple[Fraction, Fraction]], base: Fraction, g: Fraction, den: int) -> list[int]:
-    length = int((terms[-1][0] - base) / g) + 1
-    vals = [0] * length
-    for e, c in terms:
-        idx = (e - base) / g
-        vals[int(idx)] = c.numerator * (den // c.denominator)
+def _dense(exps: list[int], coefs: list[int], g: int) -> list[int]:
+    base = exps[0]
+    vals = [0] * ((exps[-1] - base) // g + 1)
+    for e, c in zip(exps, coefs):
+        vals[(e - base) // g] = c
     return vals
 
 
 def _pack(vals: list[int], nbytes: int) -> int:
-    buf = bytearray(len(vals) * nbytes)
-    for i, v in enumerate(vals):
-        if v:
-            buf[i * nbytes : (i + 1) * nbytes] = v.to_bytes(nbytes, "little")
-    return int.from_bytes(buf, "little")
+    """sum(v * 256**(nbytes*i)) for digits v with |v| < 128 * 256**(nbytes - 1)."""
+    empty = bytes(nbytes)
+    pos = b"".join([v.to_bytes(nbytes, "little") if v > 0 else empty for v in vals])
+    neg = b"".join([(-v).to_bytes(nbytes, "little") if v < 0 else empty for v in vals])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _unpack(n: int, nbytes: int, count: int) -> list[int]:
-    data = n.to_bytes(count * nbytes, "little")
-    return [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "little") for i in range(count)]
+    """The lowest `count` signed digits of n, each below 128 * 256**(nbytes - 1)
+    in absolute value: adding that half-width to every digit makes them all
+    nonnegative, so they read off the bytes with no borrows."""
+    width = nbytes * count
+    low = n & ((1 << (8 * width)) - 1)
+    half = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+    data = (low + half).to_bytes(width + 1, "little")
+    offset = 1 << (8 * nbytes - 1)
+    return [int.from_bytes(data[i : i + nbytes], "little") - offset for i in range(0, width, nbytes)]
 
 
 def invert(a: PuiseuxSeries) -> PuiseuxSeries:
@@ -353,11 +418,12 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
     order = a.order - 2 * h
     if len(a.terms) == 1:
         return _build({-h: 1 / c0}, order)
-    g = _stride(list(a.terms))
-    count = _ceil((order + h) / g)
-    coeffs = [Fraction(0)] * (int((a.terms[-1][0] - h) / g) + 1)
-    for e, c in a.terms:
-        coeffs[int((e - h) / g)] = c
+    exps = [e.numerator * (a.grading // e.denominator) for e, _ in a.terms]
+    step = gcd(*(x - exps[0] for x in exps))
+    count = _ceil((order * a.grading + exps[0]) / step)
+    coeffs = [Fraction(0)] * ((exps[-1] - exps[0]) // step + 1)
+    for x, (_, c) in zip(exps, a.terms):
+        coeffs[(x - exps[0]) // step] = c
     integral = c0 in (1, -1) and all(c.denominator == 1 for c in coeffs)
     if integral:
         avals = [int(c) for c in coeffs]
@@ -377,8 +443,8 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
                 if coeffs[k]:
                     s += coeffs[k] * inv[n - k]
             inv.append(-s / c0)
-    out = {-h + n * g: Fraction(v) for n, v in enumerate(inv) if v}
-    return _build(out, order)
+    nonzero = [n for n, v in enumerate(inv) if v]
+    return _from_grid(a.grading, [n * step - exps[0] for n in nonzero], [Fraction(inv[n]) for n in nonzero], order)
 
 
 def substitute(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:

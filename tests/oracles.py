@@ -53,6 +53,31 @@ def dict_mul(a: dict[Fraction, Fraction], b: dict[Fraction, Fraction], top: Frac
     return {e: c for e, c in out.items() if c}
 
 
+def product_offsets(
+    factors: list[tuple[int, Fraction, Fraction, int]],
+    prefactor_exponent: Fraction,
+    prefactor_coefficient: Fraction,
+    order: Fraction,
+) -> dict[Fraction, Fraction]:
+    """c * q^p * prod over (sign, start, step, power) and n >= 0 of
+    (1 - sign*q^(start + step*n))^power below q^order, multiplied out one
+    factor instance at a time on a plain {exponent: coefficient} dict; a
+    reciprocal instance is the geometric series sum_j (sign*q^e)^j."""
+    top = order - prefactor_exponent
+    poly = {Fraction(0): Fraction(1)} if top > 0 and prefactor_coefficient else {}
+    for sign, start, step, power in factors:
+        e = start
+        while e < top:
+            if power > 0:
+                factor = {Fraction(0): Fraction(1), e: Fraction(-sign)}
+            else:
+                factor = {j * e: Fraction(sign) ** j for j in range(int(top / e) + 1)}
+            for _ in range(abs(power)):
+                poly = dict_mul(poly, factor, top)
+            e += step
+    return {prefactor_exponent + e: prefactor_coefficient * c for e, c in poly.items() if c}
+
+
 def minimal_char_offsets(s: int, t: int, m: int, n: int, steps: int) -> list[int]:
     """Coefficients of the (s,t,m,n) character at integer offsets 0..steps-1
     above its leading exponent, via the alternating sum over k divided by the

@@ -1,10 +1,15 @@
 """Randomized invariant suites (fixed-seed via the derandomized profile)."""
 
 from fractions import Fraction as F
+from math import lcm
+from unittest.mock import patch
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
+
+import pytest
 
 from qserieslab import (
+    InsufficientOrderError,
     ProductFactor,
     ProductSpec,
     PuiseuxSeries,
@@ -26,7 +31,9 @@ from qserieslab import (
     weyl_group,
     zero,
 )
-from oracles import pentagonal_sum
+from qserieslab import series
+from qserieslab.series import _build
+from oracles import dict_mul, pentagonal_sum, product_offsets
 
 nonzero_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(lambda x: x != 0)
 
@@ -109,6 +116,57 @@ def test_substitute_signed_multiplicative(a, b, r):
     product = mul(a, b)
     assume(not product.is_zero)
     assert_agree(substitute_signed(product, r), mul(substitute_signed(a, r), substitute_signed(b, r)))
+
+
+def assert_matches_oracle(product: PuiseuxSeries, a: PuiseuxSeries, b: PuiseuxSeries) -> None:
+    lead_a = a.terms[0][0] if a.terms else 0
+    lead_b = b.terms[0][0] if b.terms else 0
+    assert product.order == min(a.order + lead_b, b.order + lead_a)
+    assert dict(product.terms) == dict_mul(dict(a.terms), dict(b.terms), product.order)
+    assert product.grading == lcm(*(e.denominator for e, _ in product.terms))
+
+
+@given(st.one_of(st.tuples(small_series(), small_series()), st.tuples(integer_step_series(), integer_step_series())))
+def test_kronecker_mul_matches_dict_oracle(pair):
+    # with no naive budget every product of nonzero operands takes the packed path
+    a, b = pair
+    with patch.object(series, "_NAIVE_LIMIT", 0):
+        assert_matches_oracle(mul(a, b), a, b)
+
+
+@given(small_series(), small_series())
+def test_naive_mul_matches_dict_oracle(a, b):
+    assert_matches_oracle(mul(a, b), a, b)
+
+
+@given(small_series(), st.fractions(min_value=-14, max_value=32, max_denominator=6))
+def test_truncate_is_the_canonical_prefix(a, order):
+    if order > a.order:
+        with pytest.raises(InsufficientOrderError):
+            truncate(a, order)
+    else:
+        assert truncate(a, order) == _build(dict(a.terms), order)
+
+
+factor_fractions = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+product_factors = st.tuples(
+    st.sampled_from([1, -1]), factor_fractions, factor_fractions, st.sampled_from([-2, -1, 1, 2])
+)
+
+
+@given(
+    st.lists(product_factors, min_size=1, max_size=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    nonzero_fractions,
+    st.fractions(min_value=F(-1, 2), max_value=7, max_denominator=6),
+)
+# 1/(1+q^(3/2))^2 below q^(13/2): 13 half-steps end every stride in a partial block
+@example([(-1, F(3, 2), F(1), -2)], F(0), F(1), F(13, 2))
+def test_expand_product_matches_oracle(factors, prefactor_exponent, prefactor_coefficient, order):
+    spec = ProductSpec(tuple(ProductFactor(*f) for f in factors), prefactor_exponent, prefactor_coefficient)
+    out = expand_product(spec, order)
+    assert out.order == order
+    assert dict(out.terms) == product_offsets(factors, prefactor_exponent, prefactor_coefficient, order)
 
 
 @given(small_series())
