@@ -93,7 +93,8 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
     unit = out_grid // grid
     num, den = spec.prefactor_coefficient.numerator, spec.prefactor_coefficient.denominator
     nonzero = [i for i, c in enumerate(coeffs) if c]
-    return _from_grid(out_grid, [base + i * unit for i in nonzero], [Fraction(coeffs[i] * num, den) for i in nonzero], o)
+    exps = [base + i * unit for i in nonzero]
+    return _from_grid(out_grid, exps, [Fraction(coeffs[i] * num, den) for i in nonzero], o)
 
 
 def _grid(spec: ProductSpec, cutoff: Fraction) -> int:

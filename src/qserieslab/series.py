@@ -242,7 +242,8 @@ def _highest_order_memo(fn: Callable[..., PuiseuxSeries]) -> Callable[..., Puise
         key = tuple(bound.arguments.items())
         with lock:
             request, result = held.get(key, (None, None))
-            served = request is not None and (order == request or (order < request and result.order == request))
+            exact = request is not None and result.order == request
+            served = order == request or (exact and order < request)
             if served:
                 held.move_to_end(key)
                 hits += 1
@@ -374,7 +375,8 @@ def _kronecker_mul(
     base = base_a + base_b
     den = den_a * den_b
     nonzero = [i for i, v in enumerate(digits) if v]
-    return _from_grid(grid, [base + i * g for i in nonzero], [Fraction(digits[i], den) for i in nonzero], order)
+    exps = [base + i * g for i in nonzero]
+    return _from_grid(grid, exps, [Fraction(digits[i], den) for i in nonzero], order)
 
 
 def _dense(exps: list[int], coefs: list[int], g: int) -> list[int]:
@@ -444,7 +446,8 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
                     s += coeffs[k] * inv[n - k]
             inv.append(-s / c0)
     nonzero = [n for n, v in enumerate(inv) if v]
-    return _from_grid(a.grading, [n * step - exps[0] for n in nonzero], [Fraction(inv[n]) for n in nonzero], order)
+    inv_exps = [n * step - exps[0] for n in nonzero]
+    return _from_grid(a.grading, inv_exps, [Fraction(inv[n]) for n in nonzero], order)
 
 
 def substitute(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:

@@ -31,6 +31,9 @@ def clear_all():
         memo.cache_clear()
 
 
+# 1/(1 + q^(1/3 + n/2))^2 times 3q^(-1/4)
+SIGNED_RECIPROCAL = ProductSpec((ProductFactor(-1, F(1, 3), F(1, 2), -2),), F(-1, 4), 3)
+
 # (memo whose hits are counted, the call at a given order)
 MEMOISED = {
     "minimal_char": (characters._minimal_char, lambda o: characters.minimal_char(CharLabel(2, 5, 1, 2), o)),
@@ -38,11 +41,14 @@ MEMOISED = {
     "a22:2L1": (characters.a22_char, lambda o: characters.a22_char(A22Module.TWO_LAMBDA1, o)),
     "a22:L0": (characters.a22_char, lambda o: characters.a22_char(A22Module.LAMBDA0, o)),
     "fkw_character": (lattice.fkw_character, lambda o: lattice.fkw_character(o)),
-    "fkw_character(window_margin=1)": (lattice.fkw_character, lambda o: lattice.fkw_character(o, window_margin=1)),
+    "fkw_character(window_margin=1)": (
+        lattice.fkw_character,
+        lambda o: lattice.fkw_character(o, window_margin=1),
+    ),
     "euler_phi": (products.euler_phi, lambda o: products.euler_phi(o)),
     "expand_product": (
         products.expand_product,
-        lambda o: products.expand_product(ProductSpec((ProductFactor(-1, F(1, 3), F(1, 2), -2),), F(-1, 4), 3), o),
+        lambda o: products.expand_product(SIGNED_RECIPROCAL, o),
     ),
 }
 
@@ -116,3 +122,40 @@ def test_every_module_memo_clears_and_reports():
         info = memo.cache_info()
         assert info.hits == info.misses == info.currsize == 0
         assert info.maxsize is None or info.currsize <= info.maxsize
+
+
+def test_threads_share_a_memo_without_lost_counts():
+    import sys
+    import threading
+
+    from qserieslab.series import PuiseuxSeries, _highest_order_memo
+
+    @_highest_order_memo
+    def cheap(key, order):
+        return PuiseuxSeries(1, F(order), ())
+
+    maxsize = cheap.cache_info().maxsize
+    calls_per_thread, errors = 400, []
+
+    def worker(seed):
+        try:
+            for i in range(calls_per_thread):
+                cheap((seed * i) % (maxsize + 7), 1 + (i * seed) % 5)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(1, 9)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    info = cheap.cache_info()
+    assert info.hits + info.misses == 8 * calls_per_thread
+    assert info.currsize <= maxsize

@@ -126,7 +126,12 @@ def assert_matches_oracle(product: PuiseuxSeries, a: PuiseuxSeries, b: PuiseuxSe
     assert product.grading == lcm(*(e.denominator for e, _ in product.terms))
 
 
-@given(st.one_of(st.tuples(small_series(), small_series()), st.tuples(integer_step_series(), integer_step_series())))
+@given(
+    st.one_of(
+        st.tuples(small_series(), small_series()),
+        st.tuples(integer_step_series(), integer_step_series()),
+    )
+)
 def test_kronecker_mul_matches_dict_oracle(pair):
     # with no naive budget every product of nonzero operands takes the packed path
     a, b = pair
