@@ -492,14 +492,18 @@ def compare(a: PuiseuxSeries, b: PuiseuxSeries, order: Rational) -> Optional[Mis
         raise InsufficientOrderError(
             f"compare to {o} exceeds certified orders ({a.order}, {b.order})"
         )
-    da, db = dict(a.terms), dict(b.terms)
-    for e in sorted(set(da) | set(db)):
-        if e >= o:
-            break
-        ca = da.get(e, Fraction(0))
-        cb = db.get(e, Fraction(0))
+    # Both term lists are sorted with nonzero coefficients, so the merge of
+    # their prefixes below o can walk them in step: the first pair that
+    # differs in exponent or coefficient holds the smallest disagreement.  A
+    # common sentinel at o ends the shorter prefix.
+    end = ((o, Fraction(0)),)
+    ta = a.terms[: bisect_left(a.terms, o, key=_exponent)] + end
+    tb = b.terms[: bisect_left(b.terms, o, key=_exponent)] + end
+    for (ea, ca), (eb, cb) in zip(ta, tb):
+        if ea != eb:
+            return Mismatch(ea, ca, Fraction(0)) if ea < eb else Mismatch(eb, Fraction(0), cb)
         if ca != cb:
-            return Mismatch(e, ca, cb)
+            return Mismatch(ea, ca, cb)
     return None
 
 

@@ -2,10 +2,11 @@
 
 Every checkable equation ships as an IdentityRecord holding two expression
 trees.  check() evaluates both sides to at least the requested truncation
-order (re-evaluating with a larger working order when an operation such as
-inversion or a negative-prefactor product loses range) and compares them
-coefficient by coefficient.  A PASS is never reported beyond the certified
-order.
+order and compares them coefficient by coefficient.  A product asks its
+factors for the range the other factor's negative leading exponent costs, so
+negative leads need no second pass; inversion and the z-window of
+specialize can still lose range, and then check() re-evaluates with a larger
+working order.  A PASS is never reported beyond the certified order.
 
 discover() finds the exact rational nullspace of the coefficient matrix of a
 family of series (rows are exponents in the union of supports, columns are
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import floor, lcm
 from typing import Optional, Sequence, Union
 
 from . import bivariate as bv
@@ -32,6 +33,7 @@ from .series import (
     Mismatch,
     PuiseuxSeries,
     Rational,
+    SeriesError,
     _frac,
     _parse_frac,
     add,
@@ -184,11 +186,14 @@ Value = Union[PuiseuxSeries, bv.BivariateSeries]
 
 
 def evaluate(expr: Expr, order: Rational) -> Value:
-    """Evaluate an expression tree with all leaves built at the given order.
+    """Evaluate an expression tree at the given working order.
 
-    The result's own certified order can fall below (inversion, negative
-    leading exponents) or rise above the request; callers that need a specific
-    certified order should retry with a bumped request (check() does).
+    A product requests each factor at o - min(0, floor(lead of the other)),
+    so mul's bound min(O_a + lead(b), O_b + lead(a)) reaches o.  The result's
+    certified order can still fall below the request (inversion loses 2h, and
+    specialize is capped by its z-window edge and floor) or rise above it;
+    callers that need a specific certified order retry with a bumped request
+    (check() does).
     """
     o = _frac(order)
     if isinstance(expr, Name):
@@ -202,7 +207,8 @@ def evaluate(expr: Expr, order: Rational) -> Value:
             return add(lhs, rhs) if isinstance(expr, Add) else sub(lhs, rhs)
         return bv.add_bivariate(lhs, rhs) if isinstance(expr, Add) else bv.sub_bivariate(lhs, rhs)
     if isinstance(expr, Mul):
-        lhs, rhs = evaluate(expr.left, o), evaluate(expr.right, o)
+        lhs = evaluate(expr.left, o - _negative_lead(expr.right))
+        rhs = evaluate(expr.right, o - _negative_lead(expr.left))
         if not (isinstance(lhs, PuiseuxSeries) and isinstance(rhs, PuiseuxSeries)):
             raise EvaluationError("products of two-variable series are not supported")
         return mul(lhs, rhs)
@@ -235,6 +241,26 @@ def evaluate(expr: Expr, order: Rational) -> Value:
             raise EvaluationError("specialize needs a two-variable series")
         return bv.specialize(child, expr.q_rescale, expr.z_as_q_power)
     raise EvaluationError(f"unknown expression node {expr!r}")
+
+
+def _negative_lead(expr: Expr) -> int:
+    """floor(lead(expr)) when that is negative, else 0.
+
+    A probe at order 0 sees every term below q^0 exactly, so its first
+    exponent is the lead; an empty probe bounds the lead below by its
+    certified order.  Rounding down to a whole unit keeps sibling requests
+    on one lattice o + k, so they share the highest-order memos.  A probe
+    that raises, or yields a two-variable value, gives 0: the full
+    evaluation then raises any real error itself.
+    """
+    try:
+        probe = evaluate(expr, 0)
+    except SeriesError:
+        return 0
+    if not isinstance(probe, PuiseuxSeries):
+        return 0
+    lead = probe.terms[0][0] if probe.terms else probe.order
+    return min(0, floor(lead))
 
 
 # --------------------------------------------------------------------------
@@ -276,14 +302,16 @@ _MAX_PASSES = 5
 def check_record(record: IdentityRecord, order: Optional[Rational] = None) -> VerificationReport:
     """Evaluate both sides and compare below min(order, certified orders).
 
-    A pass whose certified order min(lhs.order, rhs.order) falls short of the
-    target is retried with the request raised by the shortfall, at most
-    _MAX_PASSES times.  Retrying stops as soon as a pass certifies no more
-    than the best earlier one (for example when a fixed z-window caps the
-    order); the last pass is compared.  Stopping early cannot produce a
-    false PASS: every pass is exact below its own certified order, and PASS
-    still needs that order to reach the target, so stopping can only turn a
-    later PASS into INSUFFICIENT_ORDER.
+    Products already certify their request (see evaluate()), so negative
+    leading exponents cost no pass.  A pass whose certified order
+    min(lhs.order, rhs.order) still falls short of the target, through
+    inversion or the specialize window, is retried with the request raised
+    by the shortfall, at most _MAX_PASSES times.  Retrying stops as soon as
+    a pass certifies no more than the best earlier one (for example when a
+    fixed z-window caps the order); the last pass is compared.  Stopping
+    early cannot produce a false PASS: every pass is exact below its own
+    certified order, and PASS still needs that order to reach the target,
+    so stopping can only turn a later PASS into INSUFFICIENT_ORDER.
     """
     target = _frac(order) if order is not None else record.default_order
     started = time.perf_counter()

@@ -53,6 +53,17 @@ def dict_mul(a: dict[Fraction, Fraction], b: dict[Fraction, Fraction], top: Frac
     return {e: c for e, c in out.items() if c}
 
 
+def dict_compare(a, b, order: Fraction):
+    """First (exponent, lhs, rhs) below the order where the coefficients of
+    two series differ, read through dicts over the sorted union of exponents;
+    None when they agree."""
+    da, db = dict(a.terms), dict(b.terms)
+    for e in sorted(set(da) | set(db)):
+        if e < order and da.get(e, 0) != db.get(e, 0):
+            return e, da.get(e, 0), db.get(e, 0)
+    return None
+
+
 def product_offsets(
     factors: list[tuple[int, Fraction, Fraction, int]],
     prefactor_exponent: Fraction,

@@ -1,5 +1,9 @@
 """Randomized invariant suites (fixed-seed via the derandomized profile)."""
 
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from math import lcm
 from unittest.mock import patch
@@ -14,7 +18,9 @@ from qserieslab import (
     ProductSpec,
     PuiseuxSeries,
     RootVector,
+    SeriesError,
     add,
+    compare,
     discover,
     expand_product,
     euler_phi,
@@ -31,9 +37,10 @@ from qserieslab import (
     weyl_group,
     zero,
 )
-from qserieslab import series
+from qserieslab import cli, series
 from qserieslab.series import _build
-from oracles import dict_mul, pentagonal_sum, product_offsets
+from qserieslab.verify import evaluate, parse_expression
+from oracles import dict_compare, dict_mul, pentagonal_sum, product_offsets
 
 nonzero_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(lambda x: x != 0)
 
@@ -250,3 +257,114 @@ def test_discovery_round_trip_soundness(bases, combo_rows):
             if coeff:
                 residual = add(residual, scale(series, coeff))
         assert residual.is_zero
+
+
+@st.composite
+def sharing_pairs(draw):
+    """Two series on one grading whose terms agree on a drawn prefix, so that
+    the first disagreement can lie anywhere: a missing term on either side or
+    one exponent with two coefficients."""
+    a = draw(small_series())
+    shared = draw(st.integers(0, len(a.terms)))
+    head = a.terms[:shared]
+    if shared < len(a.terms) and draw(st.booleans()):
+        e, c = a.terms[shared]
+        head += ((e, 2 * c),)
+    tail = draw(small_series())
+    cut = head[-1][0] if head else F(-100)
+    terms = head + tuple((e, c) for e, c in tail.terms if e > cut and (e * a.grading).denominator == 1)
+    order = draw(st.sampled_from([a.order, tail.order]))
+    return a, PuiseuxSeries(a.grading, order, tuple((e, c) for e, c in terms if e < order))
+
+
+@given(sharing_pairs(), st.fractions(min_value=-14, max_value=32, max_denominator=6))
+def test_compare_matches_dict_oracle(pair, order):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        if order > min(x.order, y.order):
+            with pytest.raises(InsufficientOrderError):
+                compare(x, y, order)
+        else:
+            found = compare(x, y, order)
+            assert dict_compare(x, y, order) == (
+                None if found is None else (found.exponent, found.lhs, found.rhs)
+            )
+
+
+# Registry-grammar products: factors with negative, fractional and zero
+# leading exponents, whole-series rescalings and inversions.
+_monos = st.builds(
+    "mono({},{})".format,
+    st.sampled_from(["1", "-2", "3/4"]),
+    st.sampled_from(["0", "-1/6", "-1/2", "-1", "-7/3"]),
+)
+_characters = st.one_of(
+    st.builds(
+        "chi:2,5,1,{}@{}q^{}".format,
+        st.integers(1, 4),
+        st.sampled_from(["", "-"]),
+        st.sampled_from(["1/3", "1/2", "2"]),
+    ),
+    st.sampled_from(["rr:1", "rr:2", "a22:basic", "a22:2L1", "a22:L0"]),
+)
+
+
+def grammar_products(inverses: bool):
+    """Product expressions nested two deep over the leaves above."""
+    leaf = st.one_of(_monos, _characters)
+    if inverses:
+        leaf = st.one_of(leaf, leaf.map("inv({})".format))
+    factor = st.one_of(leaf, st.builds("({} * {})".format, leaf, leaf))
+    if inverses:
+        factor = st.one_of(factor, factor.map("inv({})".format))
+    return st.builds("{} * {}".format, factor, factor)
+
+
+small_orders = st.fractions(min_value=1, max_value=8, max_denominator=6)
+
+
+@given(grammar_products(inverses=True), small_orders)
+def test_product_requests_agree_across_orders(text, order):
+    expr = parse_expression(text)
+    try:
+        low, high = evaluate(expr, order), evaluate(expr, order + 3)
+    except SeriesError:
+        # an inverted factor with no term below the request
+        assume(False)
+    assert compare(low, high, min(low.order, high.order)) is None
+
+
+@given(grammar_products(inverses=False), small_orders)
+def test_products_without_inversion_certify_their_request(text, order):
+    assert evaluate(parse_expression(text), order).order >= order
+
+
+# A zero factor, and one whose probe (and full evaluation) raises.
+_degenerate_factors = st.sampled_from(["mono(0,1)", "inv(rr:1-rr:1)"])
+_cli_sides = st.one_of(
+    grammar_products(inverses=True),
+    st.builds("{} * ({})".format, _degenerate_factors, grammar_products(inverses=True)),
+    st.builds("({}) * {}".format, grammar_products(inverses=False), _degenerate_factors),
+)
+
+
+@st.composite
+def registry_lines(draw):
+    lhs = draw(_cli_sides)
+    rhs = draw(st.one_of(st.just(lhs), _cli_sides))
+    order = draw(st.sampled_from(["1", "5/2", "6"]))
+    return f"{order} | {lhs} | {rhs}"
+
+
+@given(st.lists(registry_lines(), min_size=1, max_size=3), st.sampled_from(["1", "7/2", "6"]))
+def test_verify_all_exit_codes(lines, order):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "generated.registry")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"ID{i} | {line}\n" for i, line in enumerate(lines)))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["verify-all", "--registry", path, "--order", order])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert " FAIL " in out.getvalue()
