@@ -99,8 +99,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_parser: Optional[_Parser] = None
+
+
 def parse_args(argv: Sequence[str]) -> Command:
-    ns = _build_parser().parse_args(list(argv))
+    """The Command for a command line; raises UsageError when it is malformed.
+
+    The argparse parser is built on the first call and reused: a parse keeps
+    nothing between calls, each fills a fresh namespace.
+    """
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    ns = _parser.parse_args(list(argv))
     if ns.verb == "expand":
         targets: tuple[str, ...] = (ns.name,)
     elif ns.verb == "verify":

@@ -298,8 +298,10 @@ def scale(a: PuiseuxSeries, c: Rational) -> PuiseuxSeries:
     return PuiseuxSeries(a.grading, a.order, tuple((e, f * v) for e, v in a.terms))
 
 
-def _lead_or_zero(a: PuiseuxSeries) -> Fraction:
-    return a.terms[0][0] if a.terms else Fraction(0)
+def _lead_bound(a: PuiseuxSeries) -> Fraction:
+    """Leading exponent of a; for an empty series min(0, O), a lower bound on
+    the lead of anything it truncated."""
+    return a.terms[0][0] if a.terms else min(Fraction(0), a.order)
 
 
 # Above this many coefficient pair products, mul switches from the direct
@@ -311,9 +313,11 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     """Cauchy product, exact below min(O_a + lead(b), O_b + lead(a)).
 
     The bound uses leading exponents so that series with negative prefactors
-    keep their full provably-exact range (lead taken as 0 for a zero operand).
+    keep their full provably-exact range.  An empty operand's lead is taken
+    as min(0, its order): whatever it truncated lies at or above that order,
+    so two empty operands certify O_a + O_b when both orders are negative.
     """
-    order = min(a.order + _lead_or_zero(b), b.order + _lead_or_zero(a))
+    order = min(a.order + _lead_bound(b), b.order + _lead_bound(a))
     if not a.terms or not b.terms:
         return PuiseuxSeries(1, order, ())
     # Terms that cannot influence exponents below the result order are pruned.
@@ -451,11 +455,17 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
 
 
 def substitute(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:
-    """Argument rescaling q -> q^r: every exponent is multiplied by r."""
+    """Argument rescaling q -> q^r: every exponent is multiplied by r.
+
+    With r > 0 the terms keep their order, so the exponent numerators k over
+    the grading D become k * r.numerator over D * r.denominator, with no sort.
+    """
     f = _frac(r)
     if f <= 0:
         raise ValueError(f"substitution exponent must be positive, got {f}")
-    return _build({e * f: c for e, c in a.terms}, a.order * f)
+    d = a.grading
+    exps = [e.numerator * (d // e.denominator) * f.numerator for e, _ in a.terms]
+    return _from_grid(d * f.denominator, exps, [c for _, c in a.terms], a.order * f)
 
 
 def substitute_signed(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:
@@ -463,21 +473,26 @@ def substitute_signed(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:
 
     Branch convention: the sign acts on the integer offset n from the leading
     exponent, so the leading coefficient keeps its sign.  Requires integer-step
-    exponents.
+    exponents.  The terms keep their order, as in substitute(); the parity of
+    n is read off the exponent numerators over the grading.
     """
     f = _frac(r)
     if f <= 0:
         raise ValueError(f"substitution exponent must be positive, got {f}")
     if not a.terms:
         return PuiseuxSeries(1, a.order * f, ())
-    h = a.terms[0][0]
-    out: dict[Fraction, Fraction] = {}
-    for e, c in a.terms:
-        n = e - h
-        if n.denominator != 1:
-            raise GradingError(f"exponent step {n} from the leading exponent is not an integer")
-        out[e * f] = c if n % 2 == 0 else -c
-    return _build(out, a.order * f)
+    d = a.grading
+    exps = [e.numerator * (d // e.denominator) for e, _ in a.terms]
+    lead = exps[0]
+    coefs = []
+    for k, (_, c) in zip(exps, a.terms):
+        n, rem = divmod(k - lead, d)
+        if rem:
+            raise GradingError(
+                f"exponent step {Fraction(k - lead, d)} from the leading exponent is not an integer"
+            )
+        coefs.append(-c if n % 2 else c)
+    return _from_grid(d * f.denominator, [k * f.numerator for k in exps], coefs, a.order * f)
 
 
 def compare(a: PuiseuxSeries, b: PuiseuxSeries, order: Rational) -> Optional[Mismatch]:

@@ -10,13 +10,15 @@ working order.  A PASS is never reported beyond the certified order.
 
 discover() finds the exact rational nullspace of the coefficient matrix of a
 family of series (rows are exponents in the union of supports, columns are
-the series) by fraction-free Gaussian elimination.
+the series) by fraction-free Gaussian elimination on column-scaled integer
+rows.
 """
 
 from __future__ import annotations
 
 import re
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,7 +36,9 @@ from .series import (
     PuiseuxSeries,
     Rational,
     SeriesError,
+    _exponent,
     _frac,
+    _numerators,
     _parse_frac,
     add,
     compare,
@@ -508,9 +512,13 @@ def discover(series: Sequence[PuiseuxSeries], order: Rational) -> list[Relation]
     """Basis of exact rational linear relations among the series, below `order`.
 
     Rows are the exponents present in any of the series below the order;
-    missing coefficients are zero.  An empty list means the sampled rows have
-    full column rank.  Evidence is truncation-level only: a relation found at
-    order O is not a proven identity.
+    missing coefficients are zero.  The matrix is built on integers: column j
+    holds the coefficients of series j times their common denominator den_j,
+    and rows are keyed by exponent numerators over the lcm of the gradings.
+    A nullspace vector y of that matrix gives the relation x_j = y_j * den_j.
+    An empty list means the sampled rows have full column rank.  Evidence is
+    truncation-level only: a relation found at order O is not a proven
+    identity.
     """
     o = _frac(order)
     cols = len(series)
@@ -521,36 +529,42 @@ def discover(series: Sequence[PuiseuxSeries], order: Rational) -> list[Relation]
             raise InsufficientOrderError(
                 f"series certified to {s.order} cannot be sampled to {o}"
             )
-    exponents = sorted({e for s in series for e, _ in s.terms if e < o})
-    if len(exponents) < cols + 8:
+    grid = lcm(*(s.grading for s in series))
+    columns = [_numerators(s.terms[: bisect_left(s.terms, o, key=_exponent)], grid) for s in series]
+    keys = sorted(set().union(*(exps for exps, _, _ in columns)))
+    if len(keys) < cols + 8:
         raise InsufficientRowsError(
-            f"need at least {cols + 8} coefficient rows, have {len(exponents)}"
+            f"need at least {cols + 8} coefficient rows, have {len(keys)}"
         )
-    lookups = [dict(s.terms) for s in series]
-    matrix: list[list[int]] = []
-    for e in exponents:
-        row = [lookups[j].get(e, Fraction(0)) for j in range(cols)]
-        den = lcm(*(c.denominator for c in row)) if cols > 1 else row[0].denominator
-        matrix.append([int(c * den) for c in row])
+    row_of = {k: i for i, k in enumerate(keys)}
+    matrix = [[0] * cols for _ in keys]
+    for j, (exps, coefs, _) in enumerate(columns):
+        for k, c in zip(exps, coefs):
+            matrix[row_of[k]][j] = c
     echelon, pivot_cols = _bareiss_echelon(matrix, cols)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     relations = []
     for f in free_cols:
-        x = [Fraction(0)] * cols
-        x[f] = Fraction(1)
+        y = [Fraction(0)] * cols
+        y[f] = Fraction(1)
         for i in range(len(pivot_cols) - 1, -1, -1):
             p = pivot_cols[i]
             acc = Fraction(0)
             for c in range(p + 1, cols):
                 if echelon[i][c]:
-                    acc += echelon[i][c] * x[c]
-            x[p] = -acc / echelon[i][p]
-        relations.append(Relation(tuple(x)))
+                    acc += echelon[i][c] * y[c]
+            y[p] = -acc / echelon[i][p]
+        relations.append(Relation(tuple(v * den for v, (_, _, den) in zip(y, columns))))
     return relations
 
 
 def _bareiss_echelon(matrix: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination; returns pivot rows and pivot columns."""
+    """Fraction-free forward elimination; returns pivot rows and pivot columns.
+
+    Every row from the current pivot row down is zero left of the pivot
+    column, so each elimination step recomputes only the columns from the
+    pivot column on.
+    """
     rows = [row[:] for row in matrix]
     n = len(rows)
     pivot_cols: list[int] = []
@@ -562,12 +576,12 @@ def _bareiss_echelon(matrix: list[list[int]], cols: int) -> tuple[list[list[int]
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         lead = rows[r][c]
+        tail = rows[r][c:]
         for i in range(r + 1, n):
-            if any(rows[i][c:]):
-                factor = rows[i][c]
-                rows[i] = [
-                    (lead * rows[i][j] - factor * rows[r][j]) // prev for j in range(cols)
-                ]
+            row = rows[i]
+            if any(row[c:]):
+                factor = row[c]
+                row[c:] = [(lead * x - factor * y) // prev for x, y in zip(row[c:], tail)]
         prev = lead
         pivot_cols.append(c)
         r += 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 def partition_counts(parts: list[int], n_max: int) -> list[int]:
@@ -62,6 +63,65 @@ def dict_compare(a, b, order: Fraction):
         if e < order and da.get(e, 0) != db.get(e, 0):
             return e, da.get(e, 0), db.get(e, 0)
     return None
+
+
+def dict_substitute(terms, order: Fraction, r: Fraction, signed: bool) -> str:
+    """Text format of the series sum c * q^(r*e) below q^(r*order), built on a
+    {exponent: coefficient} dict and sorted at the end.  When signed, the
+    coefficient at n integer steps above the lowest exponent is multiplied
+    by (-1)^n, and a step that is not an integer raises ValueError with the
+    message the package gives."""
+    coefs = dict(terms)
+    lead = min(coefs, default=Fraction(0))
+    out: dict[Fraction, Fraction] = {}
+    for e, c in coefs.items():
+        if signed:
+            step = e - lead
+            if step.denominator != 1:
+                raise ValueError(f"exponent step {step} from the leading exponent is not an integer")
+            if step % 2:
+                c = -c
+        out[e * r] = c
+    top = order * r
+    items = sorted((e, c) for e, c in out.items() if e < top)
+    grading = lcm(*(e.denominator for e, _ in items))
+    lines = [f"D={grading} O={top.numerator}/{top.denominator}"]
+    lines += [f"{e.numerator}/{e.denominator} {c.numerator}/{c.denominator}" for e, c in items]
+    return "\n".join(lines) + "\n"
+
+
+def fraction_nullspace(columns, order: Fraction) -> list[tuple[Fraction, ...]]:
+    """Basis of the rational nullspace of the matrix whose rows are the
+    exponents below the order present in any column (a sequence of
+    (exponent, coefficient) pairs), by Gauss-Jordan elimination on
+    Fractions: one vector per non-pivot column f, with 1 at f and 0 at the
+    other non-pivot columns, each divided by its first nonzero entry."""
+    lookups = [dict(col) for col in columns]
+    cols = len(lookups)
+    exponents = sorted({e for d in lookups for e in d if e < order})
+    rows = [[d.get(e, Fraction(0)) for d in lookups] for e in exponents]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        x = [Fraction(0)] * cols
+        x[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            x[p] = -rows[i][f]
+        lead = next(v for v in x if v != 0)
+        basis.append(tuple(v / lead for v in x))
+    return basis
 
 
 def product_offsets(

@@ -1,9 +1,18 @@
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import qserieslab
 from qserieslab.cli import Command, UsageError, main, parse_args
 
 
@@ -231,3 +240,70 @@ class TestMainUsage:
         code, out, err = run(capsys)
         assert code == 2
         assert err
+
+
+def run_alone(*argv):
+    """The exit code, stdout and stderr of one command line in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qserieslab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qserieslab.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestSharedParser:
+    def test_sequence_matches_each_command_alone(self, capsys, tmp_path):
+        path = tmp_path / "x.registry"
+        path.write_text("X | 20 | rr:1 | rr:1 + mono(1,7)\n")
+        sequence = [
+            ("verify", "MIN-1", "--order", "abc"),
+            ("verify", "X", "--registry", str(path)),
+            ("verify", "X"),
+            ("expand", "rr:1", "--order", "311/60", "--json"),
+            ("expand", "rr:1", "--order", "311/60"),
+        ]
+        together = [run(capsys, *argv) for argv in sequence]
+        assert [code for code, _, _ in together] == [2, 1, 2, 0, 0]
+        assert together == [run_alone(*argv) for argv in sequence]
+
+
+REGISTRY = "X | 20 | rr:1 | rr:1 + mono(1,7)\nY | 10 | chi:2,5,1,1 | rr:1\n"
+_targets = st.sampled_from(
+    ["rr:1", "rr:2", "chi:5,6,1,2@-q^1/2", "a22:basic@-q^1", "fkw@q^1/3", "nope:1",
+     "MIN-1", "SPECIALIZE-R", "X", "Y", "NOPE"]
+)
+_orders = st.sampled_from(["-3", "0", "1/3", "3", "5/2", "12", "12", "1/0", "abc"])
+
+
+@st.composite
+def generated_argv(draw):
+    """A verb with its targets, sometimes one too few or too many, and
+    optional flags, in a drawn order; {registry} and {missing} stand for
+    file paths."""
+    verb = draw(st.sampled_from(["expand", "verify", "verify-all", "discover"] * 3 + ["frobnicate"]))
+    needed = {"expand": 1, "verify": 1, "discover": 2}.get(verb, 0)
+    count = draw(st.sampled_from([needed] * 4 + [max(0, needed - 1), needed + 1]))
+    groups = [[draw(_targets)] for _ in range(count)]
+    if draw(st.booleans()):
+        groups.append(["--order", draw(_orders)])
+    if draw(st.booleans()):
+        groups.append(["--json"])
+    if draw(st.sampled_from([False] * 3 + [True])):
+        groups.append(["--registry", draw(st.sampled_from(["{registry}", "{registry}", "{missing}"]))])
+    return [verb] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@given(generated_argv())
+def test_generated_argv_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        registry = os.path.join(tmp, "generated.registry")
+        with open(registry, "w", encoding="utf-8") as fh:
+            fh.write(REGISTRY)
+        paths = {"registry": registry, "missing": os.path.join(tmp, "missing.registry")}
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([token.format(**paths) for token in argv])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert " FAIL " in out.getvalue() or '"status":"FAIL"' in out.getvalue()
+    assert "Traceback" not in err.getvalue()

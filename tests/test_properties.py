@@ -13,7 +13,9 @@ from hypothesis import assume, example, given, strategies as st
 import pytest
 
 from qserieslab import (
+    GradingError,
     InsufficientOrderError,
+    InsufficientRowsError,
     ProductFactor,
     ProductSpec,
     PuiseuxSeries,
@@ -39,8 +41,15 @@ from qserieslab import (
 )
 from qserieslab import cli, series
 from qserieslab.series import _build
-from qserieslab.verify import evaluate, parse_expression
-from oracles import dict_compare, dict_mul, pentagonal_sum, product_offsets
+from qserieslab.verify import _bareiss_echelon, evaluate, parse_expression
+from oracles import (
+    dict_compare,
+    dict_mul,
+    dict_substitute,
+    fraction_nullspace,
+    pentagonal_sum,
+    product_offsets,
+)
 
 nonzero_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(lambda x: x != 0)
 
@@ -123,6 +132,24 @@ def test_substitute_signed_multiplicative(a, b, r):
     product = mul(a, b)
     assume(not product.is_zero)
     assert_agree(substitute_signed(product, r), mul(substitute_signed(a, r), substitute_signed(b, r)))
+
+
+positive_ratios = st.fractions(min_value=F(1, 6), max_value=4, max_denominator=6)
+
+
+@given(st.one_of(small_series(), integer_step_series()), positive_ratios, st.booleans())
+@example(zero(-3), F(2, 3), True)
+@example(zero(F(7, 2), 2), F(5, 4), False)
+def test_substitutions_match_dict_oracle(a, r, signed):
+    op = substitute_signed if signed else substitute
+    try:
+        expected = dict_substitute(a.terms, a.order, r, signed)
+    except ValueError as exc:
+        with pytest.raises(GradingError) as raised:
+            op(a, r)
+        assert str(raised.value) == str(exc)
+    else:
+        assert to_text(op(a, r)) == expected
 
 
 def assert_matches_oracle(product: PuiseuxSeries, a: PuiseuxSeries, b: PuiseuxSeries) -> None:
@@ -257,6 +284,60 @@ def test_discovery_round_trip_soundness(bases, combo_rows):
             if coeff:
                 residual = add(residual, scale(series, coeff))
         assert residual.is_zero
+
+
+# Few choices per coefficient, so that a failing case shrinks in seconds.
+column_coefficients = st.builds(F, st.sampled_from([-4, -3, -1, 1, 2, 5]), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def discover_columns(draw):
+    """Columns on the gradings 1, 2, 3 and 6 with negative exponents and
+    fractional coefficients, plus zero, copied, scaled and summed columns,
+    in a drawn order; and a sampling order at or just below theirs."""
+    order = F(draw(st.integers(10, 14)))
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.sampled_from([1, 2, 3, 6]))
+        ks = draw(st.lists(st.integers(-2 * g, order * g - 1), min_size=8, max_size=16, unique=True))
+        cs = draw(st.lists(column_coefficients, min_size=len(ks), max_size=len(ks)))
+        bases.append(PuiseuxSeries(g, order, tuple(sorted((F(k, g), c) for k, c in zip(ks, cs)))))
+    columns = list(bases)
+    for kind in draw(st.lists(st.sampled_from(["zero", "copy", "scaled", "sum"]), max_size=3)):
+        base = draw(st.sampled_from(bases))
+        if kind == "zero":
+            columns.append(zero(order))
+        elif kind == "copy":
+            columns.append(base)
+        elif kind == "scaled":
+            columns.append(scale(base, draw(nonzero_fractions)))
+        else:
+            other = draw(st.sampled_from(bases))
+            columns.append(add(scale(base, draw(nonzero_fractions)), scale(other, draw(nonzero_fractions))))
+    return draw(st.permutations(columns)), order - draw(st.sampled_from([0, F(1, 2), 1]))
+
+
+@given(discover_columns())
+def test_discover_matches_fraction_oracle(case):
+    columns, order = case
+    exponents = sorted({e for s in columns for e, _ in s.terms if e < order})
+    if len(exponents) < len(columns) + 8:
+        with pytest.raises(InsufficientRowsError):
+            discover(columns, order)
+        return
+    relations = [rel.coefficients for rel in discover(columns, order)]
+    assert relations == fraction_nullspace([s.terms for s in columns], order)
+    # The elimination keeps every pivot row zero left of its pivot.
+    lookups = [dict(s.terms) for s in columns]
+    matrix = []
+    for e in exponents:
+        row = [d.get(e, F(0)) for d in lookups]
+        den = lcm(*(c.denominator for c in row))
+        matrix.append([int(c * den) for c in row])
+    echelon, pivots = _bareiss_echelon(matrix, len(columns))
+    assert len(pivots) == len(columns) - len(relations)
+    for row, p in zip(echelon, pivots):
+        assert row[p] != 0 and not any(row[:p])
 
 
 @st.composite

@@ -111,6 +111,12 @@ class TestMul:
         assert mul(a, zero(7)).is_zero
         assert mul(a, zero(7)).order == min(10 + 0, 7 + 1)
 
+    def test_empty_negative_order_operands(self):
+        # each operand truncated only terms at or above -3, so their product
+        # is exact below -6 and no further
+        assert mul(zero(-3), zero(-3)).order == -6
+        assert mul(zero(-3), zero(-1)).order == -4
+
     def test_kronecker_path_matches_naive(self):
         # large enough that the packed big-int path is taken
         phi = euler_phi(260)
