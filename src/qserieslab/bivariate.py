@@ -340,21 +340,18 @@ def specialize(
 
     The certified order is the tighter of two bounds: every included layer is
     exact only below r*O + k*w, and layers excluded by the window could
-    contribute exponents as low as their floor allows.  Without floor metadata
-    no order can be certified and the call fails.
+    contribute exponents as low as _excluded_floor allows.  Without floor
+    metadata no order can be certified and the call fails.  A caller that
+    needs order o picks the window with that same bound and evaluates the
+    layers to (o - edge*w)/r (see verify.evaluate).
     """
     r = _frac(q_rescale)
     w = _frac(z_as_q_power)
-    if r <= 0:
-        raise ValueError(f"q rescale must be positive, got {r}")
+    excluded = _excluded_floor(b.floor, b.zmin, b.zmax, r, w)
     edge = b.zmin if w >= 0 else b.zmax
     certified = r * b.order + edge * w
-    excluded = _excluded_floor(b, r, w)
-    if excluded is None:
-        raise InsufficientWindowError(
-            "layers outside the z-window are unbounded; cannot certify any order"
-        )
-    certified = min(certified, excluded) if excluded is not True else certified
+    if excluded is not None:
+        certified = min(certified, excluded)
     acc: dict[Fraction, Fraction] = {}
     for k, layer in b.layers:
         shift = k * w
@@ -365,19 +362,23 @@ def specialize(
     return _build(acc, certified)
 
 
-def _excluded_floor(b: BivariateSeries, r: Fraction, w: Fraction):
-    """Lower bound on exponents coming from layers outside the window.
+def _excluded_floor(
+    floor: Optional[LayerFloor], zmin: int, zmax: int, r: Fraction, w: Fraction
+) -> Optional[Fraction]:
+    """Lowest exponent, after q -> q^r and z -> q^w, of layers outside [zmin, zmax].
 
-    Returns True when no such layers exist, None when they are unbounded, or
-    the minimal possible exponent as a Fraction.
+    None when the floor admits no such layers; InsufficientWindowError without
+    a floor.  r must be positive: only then does the bound grow with the window.
     """
-    if b.floor is None:
-        return None
-    if not b.floor.branches:
-        return True
-    mod = b.floor.modulus
+    if r <= 0:
+        raise ValueError(f"q rescale must be positive, got {r}")
+    if floor is None:
+        raise InsufficientWindowError(
+            "layers outside the z-window are unbounded; cannot certify any order"
+        )
+    mod = floor.modulus
     best: Optional[Fraction] = None
-    for br in b.floor.branches:
+    for br in floor.branches:
         quad = r * br.quad
         lin = r * br.lin + w * mod
         const = r * br.const + w * br.residue
@@ -385,14 +386,14 @@ def _excluded_floor(b: BivariateSeries, r: Fraction, w: Fraction):
         def value(m: int) -> Fraction:
             return quad * m * m + lin * m + const
 
-        hi_start = (b.zmax - br.residue) // mod + 1
-        lo_end = -((br.residue - b.zmin) // mod) - 1
+        hi_start = (zmax - br.residue) // mod + 1
+        lo_end = -((br.residue - zmin) // mod) - 1
         vertex = -lin / (2 * quad)
         for candidate in _ray_minima(vertex, hi_start, lo_end):
             v = value(candidate)
             if best is None or v < best:
                 best = v
-    return best if best is not None else True
+    return best
 
 
 def _ray_minima(vertex: Fraction, hi_start: int, lo_end: int) -> list[int]:

@@ -1,12 +1,10 @@
 """Identity registry, checker, and exact linear-relation discovery.
 
 Every checkable equation ships as an IdentityRecord holding two expression
-trees.  check() evaluates both sides to at least the requested truncation
-order and compares them coefficient by coefficient.  A product asks its
-factors for the range the other factor's negative leading exponent costs, so
-negative leads need no second pass; inversion and the z-window of
-specialize can still lose range, and then check() re-evaluates with a larger
-working order.  A PASS is never reported beyond the certified order.
+trees.  check() evaluates each side once and compares them coefficient by
+coefficient below the requested truncation order: every node asks its
+children for the range it will lose (see evaluate()), so one pass certifies
+that order.  A PASS is never reported beyond the certified order.
 
 discover() finds the exact rational nullspace of the coefficient matrix of a
 family of series (rows are exponents in the union of supports, columns are
@@ -19,7 +17,7 @@ from __future__ import annotations
 import re
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -190,14 +188,18 @@ Value = Union[PuiseuxSeries, bv.BivariateSeries]
 
 
 def evaluate(expr: Expr, order: Rational) -> Value:
-    """Evaluate an expression tree at the given working order.
+    """Evaluate an expression tree, certified to at least `order`.
 
-    A product requests each factor at o - min(0, floor(lead of the other)),
-    so mul's bound min(O_a + lead(b), O_b + lead(a)) reaches o.  The result's
-    certified order can still fall below the request (inversion loses 2h, and
-    specialize is capped by its z-window edge and floor) or rise above it;
-    callers that need a specific certified order retry with a bumped request
-    (check() does).
+    Every node asks its children for the range it will lose.  A product asks
+    each factor for max(o - _negative_lead(other), 0), so mul's bound
+    min(O_a + lead(b), O_b + lead(a)) reaches o (an empty factor's lead is
+    bounded by 0); when a probe raised, it asks once more with the leads
+    the factors showed.  An inversion asks for max(o, 1), to see a lead h
+    below 1, then for o + 2h.  A specialization widens its child's zmin/zmax
+    to the smallest symmetric window (never narrower) whose excluded layers
+    reach o, by the floor of an order-0 probe, and asks for (o - edge*w)/r.
+    Without a floor it raises InsufficientWindowError; a child without
+    zmin/zmax fields keeps its window and may certify less than o.
     """
     o = _frac(order)
     if isinstance(expr, Name):
@@ -211,15 +213,22 @@ def evaluate(expr: Expr, order: Rational) -> Value:
             return add(lhs, rhs) if isinstance(expr, Add) else sub(lhs, rhs)
         return bv.add_bivariate(lhs, rhs) if isinstance(expr, Add) else bv.sub_bivariate(lhs, rhs)
     if isinstance(expr, Mul):
-        lhs = evaluate(expr.left, o - _negative_lead(expr.right))
-        rhs = evaluate(expr.right, o - _negative_lead(expr.left))
+        lhs = evaluate(expr.left, max(o - _negative_lead(expr.right), 0))
+        rhs = evaluate(expr.right, max(o - _negative_lead(expr.left), 0))
         if not (isinstance(lhs, PuiseuxSeries) and isinstance(rhs, PuiseuxSeries)):
             raise EvaluationError("products of two-variable series are not supported")
-        return mul(lhs, rhs)
+        product = mul(lhs, rhs)
+        if product.order < o:  # a probe raised; the factors now show their leads
+            left = evaluate(expr.left, max(o - _unit_lead(rhs), 0))
+            rhs = evaluate(expr.right, max(o - _unit_lead(lhs), 0))
+            product = mul(left, rhs)
+        return product
     if isinstance(expr, Inv):
-        child = evaluate(expr.child, o)
+        child = evaluate(expr.child, max(o, 1))
         if not isinstance(child, PuiseuxSeries):
             raise EvaluationError("cannot invert a two-variable series")
+        if child.terms and child.order < o + 2 * child.terms[0][0]:
+            child = evaluate(expr.child, o + 2 * child.terms[0][0])
         return invert(child)
     if isinstance(expr, Subst):
         child = evaluate(expr.child, o / expr.ratio)
@@ -240,31 +249,38 @@ def evaluate(expr: Expr, order: Rational) -> Value:
     if isinstance(expr, BivariateThetaExpr):
         return bv.bivariate_theta(expr.branches, o, (expr.zmin, expr.zmax))
     if isinstance(expr, Specialize):
-        child = evaluate(expr.child, o / expr.q_rescale)
-        if not isinstance(child, bv.BivariateSeries):
+        r, w = expr.q_rescale, expr.z_as_q_power
+        probe = evaluate(expr.child, 0)
+        if not isinstance(probe, bv.BivariateSeries):
             raise EvaluationError("specialize needs a two-variable series")
-        return bv.specialize(child, expr.q_rescale, expr.z_as_q_power)
+        zmin, zmax, width = probe.zmin, probe.zmax, 0
+        widen = hasattr(expr.child, "zmin")  # the child holds its window as fields
+        while widen and (bound := bv._excluded_floor(probe.floor, zmin, zmax, r, w)) is not None and bound < o:
+            width += 1
+            zmin, zmax = min(probe.zmin, -width), max(probe.zmax, width)
+        child = replace(expr.child, zmin=zmin, zmax=zmax) if widen else expr.child
+        edge = zmin if w >= 0 else zmax
+        return bv.specialize(evaluate(child, (o - edge * w) / r), r, w)
     raise EvaluationError(f"unknown expression node {expr!r}")
 
 
 def _negative_lead(expr: Expr) -> int:
-    """floor(lead(expr)) when that is negative, else 0.
+    """floor(lead(expr)) when that is negative, else 0, from a probe at order 0.
 
-    A probe at order 0 sees every term below q^0 exactly, so its first
-    exponent is the lead; an empty probe bounds the lead below by its
-    certified order.  Rounding down to a whole unit keeps sibling requests
-    on one lattice o + k, so they share the highest-order memos.  A probe
-    that raises, or yields a two-variable value, gives 0: the full
-    evaluation then raises any real error itself.
+    The probe is certified to at least 0, so it holds every negative
+    exponent.  Whole units keep sibling requests on one lattice o + k, so
+    they share the highest-order memos.  A probe that raises gives 0; the
+    product then asks again, or the full evaluation raises the real error.
     """
     try:
-        probe = evaluate(expr, 0)
+        return _unit_lead(evaluate(expr, 0))
     except SeriesError:
         return 0
-    if not isinstance(probe, PuiseuxSeries):
-        return 0
-    lead = probe.terms[0][0] if probe.terms else probe.order
-    return min(0, floor(lead))
+
+
+def _unit_lead(value: Value) -> int:
+    """floor of a one-variable value's leading exponent when negative, else 0."""
+    return min(0, floor(value.terms[0][0])) if isinstance(value, PuiseuxSeries) and value.terms else 0
 
 
 # --------------------------------------------------------------------------
@@ -300,38 +316,18 @@ class VerificationReport:
             raise ValueError("FAIL reports must carry the mismatch")
 
 
-_MAX_PASSES = 5
-
-
 def check_record(record: IdentityRecord, order: Optional[Rational] = None) -> VerificationReport:
-    """Evaluate both sides and compare below min(order, certified orders).
+    """Evaluate each side once and compare below min(order, certified orders).
 
-    Products already certify their request (see evaluate()), so negative
-    leading exponents cost no pass.  A pass whose certified order
-    min(lhs.order, rhs.order) still falls short of the target, through
-    inversion or the specialize window, is retried with the request raised
-    by the shortfall, at most _MAX_PASSES times.  Retrying stops as soon as
-    a pass certifies no more than the best earlier one (for example when a
-    fixed z-window caps the order); the last pass is compared.  Stopping
-    early cannot produce a false PASS: every pass is exact below its own
-    certified order, and PASS still needs that order to reach the target,
-    so stopping can only turn a later PASS into INSUFFICIENT_ORDER.
+    evaluate() certifies every request, so one pass reaches the target.  A
+    side certified below it, or not at all (specialize without floor
+    metadata, reported at order 0), gives INSUFFICIENT_ORDER, never PASS.
     """
     target = _frac(order) if order is not None else record.default_order
     started = time.perf_counter()
-    request = target
-    best: Optional[Fraction] = None
-    lhs: Value
-    rhs: Value
     try:
-        for _ in range(_MAX_PASSES):
-            lhs = evaluate(record.lhs, request)
-            rhs = evaluate(record.rhs, request)
-            certified = min(lhs.order, rhs.order)
-            if certified >= target or (best is not None and certified <= best):
-                break
-            best = certified
-            request = request + (target - certified)
+        lhs = evaluate(record.lhs, target)
+        rhs = evaluate(record.rhs, target)
     except bv.InsufficientWindowError:
         elapsed = int((time.perf_counter() - started) * 1000)
         return VerificationReport(record.id, Status.INSUFFICIENT_ORDER, Fraction(0), None, elapsed)

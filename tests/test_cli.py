@@ -128,6 +128,16 @@ class TestVerifyAll:
         assert len(lines) >= 13
         assert all(" PASS order=20/1" in line for line in lines)
 
+    @pytest.mark.parametrize("order", ["0", "-3", "1/3"])
+    def test_all_pass_at_orders_up_to_one(self, capsys, order):
+        # APPENDIX-DISPLAY inverts (q)_inf, which is empty below order 1
+        code, out, err = run(capsys, "verify-all", "--order", order)
+        lines = out.strip().splitlines()
+        assert code == 0, err
+        expected = F(order)
+        assert len(lines) == len(qserieslab.registry())
+        assert all(f" PASS order={expected.numerator}/{expected.denominator}" in line for line in lines)
+
     def test_registry_override_aggregates_failures(self, capsys, tmp_path):
         path = tmp_path / "mixed.registry"
         path.write_text(

@@ -41,7 +41,7 @@ from qserieslab import (
 )
 from qserieslab import cli, series
 from qserieslab.series import _build
-from qserieslab.verify import _bareiss_echelon, evaluate, parse_expression
+from qserieslab.verify import _bareiss_echelon, evaluate, parse_expression, registry
 from oracles import (
     dict_compare,
     dict_mul,
@@ -415,9 +415,28 @@ def test_product_requests_agree_across_orders(text, order):
     assert compare(low, high, min(low.order, high.order)) is None
 
 
-@given(grammar_products(inverses=False), small_orders)
-def test_products_without_inversion_certify_their_request(text, order):
-    assert evaluate(parse_expression(text), order).order >= order
+_edge_orders = st.one_of(st.sampled_from([F(-3), F(-1, 2), F(0), F(1, 3)]), small_orders)
+
+
+@given(grammar_products(inverses=True), _edge_orders)
+# the order-0 probe of an inverse whose child leads at q^3 raises, so the
+# product learns that lead only from a first evaluation of its factors
+@example("inv(mono(1,3)) * mono(1,3)", F(50))
+@example("inv(mono(1,3)) * mono(1,-2)", F(2))
+def test_products_certify_their_request(text, order):
+    try:
+        value = evaluate(parse_expression(text), order)
+    except SeriesError:
+        # an inverted factor that is genuinely zero
+        assume(False)
+    assert value.order >= order
+
+
+@pytest.mark.parametrize("order", [-3, 0, 50, 600])
+def test_builtin_sides_certify_their_request(order):
+    for record in registry():
+        for side in (record.lhs, record.rhs):
+            assert evaluate(side, order).order >= order, record.id
 
 
 # A zero factor, and one whose probe (and full evaluation) raises.

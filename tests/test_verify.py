@@ -27,6 +27,7 @@ from qserieslab import verify
 from qserieslab.characters import WModule
 from qserieslab.verify import (
     Add,
+    BivariateThetaExpr,
     Mono,
     Name,
     QuintupleLHS,
@@ -125,12 +126,23 @@ class TestCheck:
         )
 
     def test_insufficient_window_reported_not_raised(self):
-        # exclusion floor at z^3 caps certification near q^1/2, far below target
-        chain = Specialize(QuintupleLHS(-2, 2), F(5, 2), F(-3, 2))
-        tiny = IdentityRecord("TINY-WINDOW", chain, chain, F(25))
-        report = check_record(tiny, 25)
+        # mixed z-steps leave the theta sum without floor metadata, so no
+        # window bounds the layers specialize would leave out
+        mixed = BivariateThetaExpr(((1, F(12), F(2), F(0), 6, 1), (1, F(12), F(2), F(0), 3, 0)), -25, 25)
+        chain = Specialize(mixed, F(5, 2), F(-3, 2))
+        unbounded = IdentityRecord("NO-FLOOR", chain, chain, F(25))
+        report = check_record(unbounded, 25)
         assert report.status is Status.INSUFFICIENT_ORDER
-        assert report.order_checked < 25
+        assert report.order_checked == 0
+        assert report.mismatch is None
+
+    def test_window_that_cannot_widen_reported_not_raised(self):
+        # a sum keeps its children's +-25 window, which certifies 1089/2 < 600
+        quintuple = QuintupleLHS(-25, 25)
+        chain = Specialize(Add(quintuple, quintuple), F(5, 2), F(-3, 2))
+        report = check_record(IdentityRecord("SUM-WINDOW", chain, chain, F(600)), 600)
+        assert report.status is Status.INSUFFICIENT_ORDER
+        assert report.order_checked == F(1089, 2)
         assert report.mismatch is None
 
     def test_mismatch_below_certification_still_fails(self):
@@ -154,6 +166,8 @@ class TestCheck:
 
 
 class TestRetryStop:
+    """check_record evaluates each side once: no node leaves range to a retry."""
+
     @staticmethod
     def _certified_per_pass(monkeypatch, identity_id, order):
         """Run check() and return (report, certified order of every pass)."""
@@ -171,12 +185,6 @@ class TestRetryStop:
         report = check(identity_id, order)
         return report, [min(sides[i : i + 2]) for i in range(0, len(sides), 2)]
 
-    def test_window_capped_check_stops_after_futile_pass(self, monkeypatch):
-        report, certified = self._certified_per_pass(monkeypatch, "SPECIALIZE-R", 600)
-        assert certified == [546, 546]
-        assert report.status is Status.INSUFFICIENT_ORDER
-        assert report.order_checked == 546
-
     @pytest.mark.parametrize("order", [50, 200, 500])
     @pytest.mark.parametrize("identity_id", ["RAMANUJAN", "DECOMP-1.4"])
     def test_negative_leads_cost_no_pass(self, monkeypatch, identity_id, order):
@@ -186,13 +194,23 @@ class TestRetryStop:
         assert report.status is Status.PASS
         assert report.order_checked == order
 
+    @pytest.mark.parametrize("order", [500, 600, 1000])
     @pytest.mark.parametrize("identity_id", ["SPECIALIZE-L", "SPECIALIZE-R"])
-    def test_useful_retry_still_reaches_target(self, monkeypatch, identity_id):
-        # the specialize window edge, not a product, costs the first pass range
-        report, certified = self._certified_per_pass(monkeypatch, identity_id, 500)
-        assert certified == [464, 500]
+    def test_specialize_window_costs_no_pass(self, monkeypatch, identity_id, order):
+        # specialize asks for its window edge's cost and widens the +-25
+        # window once the order needs more layers
+        report, certified = self._certified_per_pass(monkeypatch, identity_id, order)
+        assert len(certified) == 1
+        assert certified[0] >= order
         assert report.status is Status.PASS
-        assert report.order_checked == 500
+        assert report.order_checked == order
+
+    @pytest.mark.parametrize("identity_id", ["SPECIALIZE-L", "SPECIALIZE-R"])
+    def test_specialize_probe_bumps_sibling_by_its_lead(self, identity_id):
+        # the order-0 probe sees the lead q^(-3/2), not the window edge's -75/2
+        record = next(r for r in registry() if r.id == identity_id)
+        assert isinstance(record.lhs.right, Specialize)
+        assert verify._negative_lead(record.lhs.right) == -2
 
 
 class TestDiscover:
