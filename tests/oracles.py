@@ -1,15 +1,91 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately brute force and shares no code path with the
-package: plain dict/list arithmetic, direct enumeration, partition counting
-by dynamic programming.
+package beyond its two value types: plain dict/list arithmetic, direct
+enumeration, partition counting by dynamic programming.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import ceil, lcm
+
+from qserieslab import BivariateSeries, PuiseuxSeries
+
+
+def canonical_series(mapping: dict[Fraction, Fraction], order: Fraction) -> PuiseuxSeries:
+    """The series of a sparse exponent->coefficient mapping: zeros and
+    anything at or beyond the order dropped, the rest sorted, the grading
+    the lcm of the surviving exponent denominators.  Only the value type
+    comes from the package."""
+    items = sorted((e, c) for e, c in mapping.items() if c != 0 and e < order)
+    grading = 1
+    for e, _ in items:
+        grading = lcm(grading, e.denominator)
+    return PuiseuxSeries(grading, order, tuple(items))
+
+
+def dict_combine(a, b, sign: int) -> PuiseuxSeries:
+    """a + sign*b as the union of two {exponent: coefficient} dicts, certified
+    to the smaller order."""
+    out = dict(a.terms)
+    for e, c in b.terms:
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return canonical_series(out, min(a.order, b.order))
+
+
+def dict_combine_bivariate(a, b, sign: int) -> BivariateSeries:
+    """Layerwise dict_combine over the z-exponents of either operand; empty
+    layers are dropped and the floor survives only when both agree."""
+    la, lb = dict(a.layers), dict(b.layers)
+    order = min(a.order, b.order)
+    empty = PuiseuxSeries(1, order, ())
+    layers = []
+    for k in sorted(la.keys() | lb.keys()):
+        ser = dict_combine(la.get(k, empty), lb.get(k, empty), sign)
+        if ser.terms:
+            layers.append((k, ser))
+    floor = a.floor if a.floor == b.floor else None
+    return BivariateSeries(a.zmin, a.zmax, order, tuple(layers), floor)
+
+
+def theta_enumeration(quadratic: Fraction, branches, order: Fraction) -> dict[Fraction, Fraction]:
+    """sum over m and the branches (B, C, sign) of sign * q^(A m^2 + B m + C)
+    below the order, on a dict.  A m^2 + B m + C >= m (A m - |B|) - |C|, so
+    every |m| > (|B| + |C| + |order| + 1) / A lands above the order."""
+    out: dict[Fraction, Fraction] = {}
+    for linear, constant, sign in branches:
+        reach = ceil((abs(linear) + abs(constant) + abs(order) + 1) / quadratic)
+        for m in range(-reach, reach + 1):
+            e = quadratic * m * m + linear * m + constant
+            if e < order:
+                out[e] = out.get(e, Fraction(0)) + sign
+    return out
+
+
+def dict_specialize(layers, r: Fraction, w: Fraction, order: Fraction) -> dict[Fraction, Fraction]:
+    """sum over layers z^k of c * q^(r*e + k*w) below the order, on a dict."""
+    out: dict[Fraction, Fraction] = {}
+    for k, ser in layers:
+        for e, c in ser.terms:
+            x = r * e + k * w
+            if x < order:
+                out[x] = out.get(x, Fraction(0)) + c
+    return out
+
+
+def excluded_minimum(floor, zmin: int, zmax: int, r: Fraction, w: Fraction, reach: int = 200):
+    """Smallest r*(A m^2 + B m + C) + w*k over the floor's layers
+    k = modulus*m + residue outside [zmin, zmax], by trying every |m| <= reach;
+    None when the floor has no branch."""
+    values = [
+        r * (br.quad * m * m + br.lin * m + br.const) + w * (floor.modulus * m + br.residue)
+        for br in floor.branches
+        for m in range(-reach, reach + 1)
+        if not zmin <= floor.modulus * m + br.residue <= zmax
+    ]
+    return min(values, default=None)
 
 
 def partition_counts(parts: list[int], n_max: int) -> list[int]:

@@ -21,6 +21,8 @@ from qserieslab import (
     PuiseuxSeries,
     RootVector,
     SeriesError,
+    ThetaBranch,
+    ThetaSumSpec,
     add,
     compare,
     discover,
@@ -32,26 +34,45 @@ from qserieslab import (
     monomial,
     mul,
     scale,
+    specialize,
+    sub,
     substitute,
     substitute_signed,
+    theta_sum,
     to_text,
     truncate,
     weyl_group,
     zero,
 )
 from qserieslab import cli, series
-from qserieslab.series import _build
+from qserieslab.bivariate import (
+    COMPLETE_SUPPORT,
+    QUINTUPLE_FLOOR,
+    add_bivariate,
+    bivariate_from_layers,
+    sub_bivariate,
+)
 from qserieslab.verify import _bareiss_echelon, evaluate, parse_expression, registry
 from oracles import (
+    canonical_series,
+    dict_combine,
+    dict_combine_bivariate,
     dict_compare,
     dict_mul,
+    dict_specialize,
     dict_substitute,
+    excluded_minimum,
     fraction_nullspace,
     pentagonal_sum,
     product_offsets,
+    theta_enumeration,
 )
 
-nonzero_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(lambda x: x != 0)
+# The nonzero p/q with q <= 6 in [-4, 4], drawn as a denominator and then a
+# numerator so that a failing example shrinks both as integers.
+nonzero_fractions = st.integers(1, 6).flatmap(
+    lambda q: st.integers(-4 * q, 4 * q).filter(bool).map(lambda p: F(p, q))
+)
 
 
 @st.composite
@@ -184,7 +205,107 @@ def test_truncate_is_the_canonical_prefix(a, order):
         with pytest.raises(InsufficientOrderError):
             truncate(a, order)
     else:
-        assert truncate(a, order) == _build(dict(a.terms), order)
+        assert truncate(a, order) == canonical_series(dict(a.terms), order)
+
+
+any_orders = st.fractions(min_value=-6, max_value=30, max_denominator=6)
+
+
+@st.composite
+def graded_series(draw, order=None):
+    """A series on a drawn grading 1..6, possibly empty, certified to a drawn
+    order that may be negative or fractional (or to the given one)."""
+    grading = draw(st.integers(1, 6))
+    o = draw(any_orders) if order is None else order
+    numerators = draw(st.lists(st.integers(-36, 36), max_size=8, unique=True))
+    terms = sorted((F(k, grading), draw(nonzero_fractions)) for k in numerators if F(k, grading) < o)
+    return PuiseuxSeries(grading, o, tuple(terms))
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two series on different gradings where the second may repeat any of
+    the first's terms with either sign, so that the sum or the difference
+    cancels them, down to nothing at all."""
+    a, b = draw(graded_series()), draw(graded_series())
+    echo = {e: draw(st.sampled_from([c, -c])) for e, c in a.terms if draw(st.booleans())}
+    own = dict(b.terms) if draw(st.booleans()) else {}
+    terms = sorted((e, c) for e, c in {**own, **echo}.items() if e < b.order)
+    return a, PuiseuxSeries(lcm(a.grading, b.grading), b.order, tuple(terms))
+
+
+@given(cancelling_pairs())
+@example((monomial(1, F(1, 6), 6, 10), monomial(-1, F(1, 6), 6, 10)))
+@example((monomial(3, F(-5, 2), 2, F(-7, 3)), monomial(3, F(-5, 2), 2, -2)))
+@example((zero(F(-7, 2), 2), zero(-3, 3)))
+def test_add_sub_match_dict_oracle(pair):
+    a, b = pair
+    assert add(a, b) == dict_combine(a, b, 1)
+    assert sub(a, b) == dict_combine(a, b, -1)
+
+
+theta_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def theta_cases(draw):
+    """A quadratic coefficient and branches (B, C, sign); a branch may come
+    twice with opposite signs, so that those two cancel term by term."""
+    quadratic = draw(st.fractions(min_value=F(1, 6), max_value=4, max_denominator=6))
+    branches = draw(st.lists(st.tuples(theta_fractions, theta_fractions, st.sampled_from([1, -1])), max_size=3))
+    if branches and draw(st.booleans()):
+        linear, constant, sign = draw(st.sampled_from(branches))
+        branches.append((linear, constant, -sign))
+    return quadratic, branches
+
+
+@given(theta_cases(), st.fractions(min_value=-4, max_value=20, max_denominator=6))
+@example((F(1, 2), [(F(1, 3), F(-1, 6), 1), (F(1, 3), F(-1, 6), -1)]), F(0))
+@example((F(5, 6), [(F(-1, 2), F(-5, 3), -1)]), F(-3, 2))
+def test_theta_sum_matches_fraction_enumeration(case, order):
+    quadratic, branches = case
+    spec = ThetaSumSpec(quadratic, tuple(ThetaBranch(b, c, sign) for b, c, sign in branches))
+    expected = canonical_series(theta_enumeration(quadratic, branches, order), order)
+    assert theta_sum(spec, order) == expected
+
+
+@st.composite
+def bivariate_series(draw, window=None):
+    """Up to four drawn layers in a drawn window, all on one drawn order, under
+    either the quintuple floor or complete support."""
+    zmin, zmax = window or (draw(st.integers(-5, 0)), draw(st.integers(0, 5)))
+    order = draw(any_orders)
+    ks = draw(st.sets(st.integers(zmin, zmax), max_size=4))
+    layers = {k: draw(graded_series(order)) for k in ks}
+    floor = draw(st.sampled_from([QUINTUPLE_FLOOR, COMPLETE_SUPPORT]))
+    return bivariate_from_layers(layers, (zmin, zmax), order, floor)
+
+
+@given(
+    bivariate_series(),
+    st.sampled_from([F(1, 2), F(1), F(5, 2)]),
+    st.sampled_from([F(-3, 2), F(0), F(1, 3)]),
+)
+def test_specialize_matches_dict_oracle(b, r, w):
+    order = r * b.order + (b.zmin if w >= 0 else b.zmax) * w
+    excluded = excluded_minimum(b.floor, b.zmin, b.zmax, r, w)
+    if excluded is not None:
+        order = min(order, excluded)
+    assert specialize(b, r, w) == canonical_series(dict_specialize(b.layers, r, w, order), order)
+
+
+@st.composite
+def bivariate_pairs(draw):
+    a = draw(bivariate_series())
+    return a, draw(bivariate_series(window=(a.zmin, a.zmax)))
+
+
+@given(bivariate_pairs())
+def test_bivariate_add_sub_match_dict_oracle(pair):
+    a, b = pair
+    assert add_bivariate(a, b) == dict_combine_bivariate(a, b, 1)
+    assert sub_bivariate(a, b) == dict_combine_bivariate(a, b, -1)
+    assert sub_bivariate(a, a) == dict_combine_bivariate(a, a, -1)
 
 
 factor_fractions = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
