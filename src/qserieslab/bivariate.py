@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .series import (
     InsufficientOrderError,
@@ -23,10 +23,16 @@ from .series import (
     PuiseuxSeries,
     Rational,
     SeriesError,
-    _build,
     _ceil,
     _frac,
+    _from_grid,
+    _shift,
+    add,
     compare,
+    monomial,
+    sub,
+    substitute,
+    truncate,
     zero,
 )
 
@@ -136,14 +142,10 @@ def bivariate_from_layers(
             raise ValueError(f"layer z^{k} outside window [{zmin}, {zmax}]")
         ser = layers[k]
         if ser.order != o:
-            ser = _build(dict(ser.terms), o) if ser.order > o else _insufficient(ser, o)
+            ser = truncate(ser, o)
         if not ser.is_zero:
             packed.append((k, ser))
     return BivariateSeries(zmin, zmax, o, tuple(packed), floor)
-
-
-def _insufficient(ser: PuiseuxSeries, o: Fraction) -> PuiseuxSeries:
-    raise InsufficientOrderError(f"layer certified to {ser.order} cannot be extended to {o}")
 
 
 def quintuple_lhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries:
@@ -158,15 +160,13 @@ def quintuple_lhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
     for k in range(zmin, zmax + 1):
         if k % 3 == 0:
             m = k // 3
-            exponent = Fraction(3 * m * m - m)
+            exponent = 3 * m * m - m
         elif k % 3 == 1:
             m = (k - 1) // 3
-            exponent = Fraction(3 * m * m + m)
+            exponent = 3 * m * m + m
         else:
             continue
-        if exponent < o:
-            coeff = Fraction(1 if m % 2 == 0 else -1)
-            layers[k] = PuiseuxSeries(1, o, ((exponent, coeff),))
+        layers[k] = monomial(1 if m % 2 == 0 else -1, exponent, 1, o)
     return bivariate_from_layers(layers, window, o, QUINTUPLE_FLOOR)
 
 
@@ -222,11 +222,11 @@ def quintuple_rhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
                 state[dest] = target
             else:
                 state.pop(dest, None)
-    layers = {
-        k: _build({Fraction(e): Fraction(c) for e, c in layer.items()}, o)
-        for k, layer in state.items()
-        if zmin <= k <= zmax
-    }
+    layers = {}
+    for k, layer in state.items():
+        if zmin <= k <= zmax:
+            exps = sorted(layer)
+            layers[k] = _from_grid(1, exps, [Fraction(layer[e]) for e in exps], o)
     return bivariate_from_layers(layers, window, o, QUINTUPLE_FLOOR)
 
 
@@ -246,7 +246,7 @@ def bivariate_theta(
     o = _frac(q_order)
     zmin, zmax = window
     spread = max(abs(zmin), abs(zmax))
-    layers: dict[int, dict[Fraction, Fraction]] = {}
+    layers: dict[int, PuiseuxSeries] = {}
     normalized = []
     for sigma, a, b, c, e_step, f_off in branches:
         a, b, c = _frac(a), _frac(b), _frac(c)
@@ -259,12 +259,9 @@ def bivariate_theta(
             if not zmin <= k <= zmax:
                 continue
             exponent = a * m * m + b * m + c
-            if exponent < o:
-                layer = layers.setdefault(k, {})
-                layer[exponent] = layer.get(exponent, Fraction(0)) + sigma
-    floor = _theta_floor(normalized)
-    packed = {k: _build(vals, o) for k, vals in layers.items()}
-    return bivariate_from_layers(packed, window, o, floor)
+            term = monomial(sigma, exponent, exponent.denominator, o)
+            layers[k] = add(layers.get(k, zero(o)), term)
+    return bivariate_from_layers(layers, window, o, _theta_floor(normalized))
 
 
 def _theta_floor(branches: list) -> Optional[LayerFloor]:
@@ -291,26 +288,24 @@ def _theta_floor(branches: list) -> Optional[LayerFloor]:
 
 
 def add_bivariate(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
-    return _combine(a, b, 1)
+    return _combine(a, b, add)
 
 
 def sub_bivariate(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
-    return _combine(a, b, -1)
+    return _combine(a, b, sub)
 
 
-def _combine(a: BivariateSeries, b: BivariateSeries, sign: int) -> BivariateSeries:
+def _combine(
+    a: BivariateSeries, b: BivariateSeries, op: Callable[[PuiseuxSeries, PuiseuxSeries], PuiseuxSeries]
+) -> BivariateSeries:
+    """op(a, b) layer by layer; the floor survives only when both agree."""
     if (a.zmin, a.zmax) != (b.zmin, b.zmax):
         raise ValueError("bivariate addition requires identical z-windows")
-    o = min(a.order, b.order)
-    acc: dict[int, dict[Fraction, Fraction]] = {}
-    for source, s in ((a, 1), (b, sign)):
-        for k, layer in source.layers:
-            target = acc.setdefault(k, {})
-            for e, c in layer.terms:
-                target[e] = target.get(e, Fraction(0)) + s * c
-    layers = {k: _build(vals, o) for k, vals in acc.items()}
+    la, lb = dict(a.layers), dict(b.layers)
+    za, zb = zero(a.order), zero(b.order)
+    layers = {k: op(la.get(k, za), lb.get(k, zb)) for k in la.keys() | lb.keys()}
     floor = a.floor if a.floor == b.floor else None
-    return bivariate_from_layers(layers, (a.zmin, a.zmax), o, floor)
+    return bivariate_from_layers(layers, (a.zmin, a.zmax), min(a.order, b.order), floor)
 
 
 def compare_bivariate(a: BivariateSeries, b: BivariateSeries, order: Rational) -> Optional[Mismatch]:
@@ -352,14 +347,10 @@ def specialize(
     certified = r * b.order + edge * w
     if excluded is not None:
         certified = min(certified, excluded)
-    acc: dict[Fraction, Fraction] = {}
+    out = zero(certified)
     for k, layer in b.layers:
-        shift = k * w
-        for e, c in layer.terms:
-            exponent = r * e + shift
-            if exponent < certified:
-                acc[exponent] = acc.get(exponent, Fraction(0)) + c
-    return _build(acc, certified)
+        out = add(out, _shift(substitute(layer, r), k * w))
+    return out
 
 
 def _excluded_floor(

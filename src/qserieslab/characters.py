@@ -19,13 +19,16 @@ from .products import ProductFactor, ProductSpec, expand_product
 from .series import (
     PuiseuxSeries,
     Rational,
-    _build,
     _frac,
     _highest_order_memo,
+    _shift,
+    add,
     mul,
+    sub,
     substitute,
     substitute_signed,
     truncate,
+    zero,
 )
 
 __all__ = [
@@ -130,8 +133,7 @@ def _minimal_char(s: int, t: int, m: int, n: int, order: Fraction) -> PuiseuxSer
         s * t,
         (lattice.ThetaBranch(m * t - n * s, 0, 1), lattice.ThetaBranch(m * t + n * s, m * n, -1)),
     )
-    result = mul(lattice.theta_sum(spec, oshift), expand_product(_RECIPROCAL_PHI, oshift))
-    return _build({e + prefactor: v for e, v in result.terms}, order)
+    return _shift(mul(lattice.theta_sum(spec, oshift), expand_product(_RECIPROCAL_PHI, oshift)), prefactor)
 
 
 _RR_SPECS = {
@@ -187,9 +189,8 @@ def a22_char(module: A22Module, order: Rational) -> PuiseuxSeries:
         return truncate(mul(basic, factor), o)
     if module is A22Module.LAMBDA0:
         factor = substitute(_minimal_char(2, 5, 1, 1, 3 * (o + 1)), Fraction(1, 3))
-        shifted = mul(basic, factor)
-        sixth = Fraction(1, 6)
-        return _build({e + sixth: c for e, c in shifted.terms}, min(shifted.order + sixth, o))
+        shifted = _shift(mul(basic, factor), Fraction(1, 6))
+        return truncate(shifted, min(shifted.order, o))
     raise ValueError(f"unknown module {module!r}")
 
 
@@ -247,12 +248,10 @@ def twisted_trace(module: WModule, epsilon: int, order: Rational) -> PuiseuxSeri
 
 
 def _signed_combo(parts: tuple[tuple[int, int, int], ...], order: Fraction) -> PuiseuxSeries:
-    acc: dict[Fraction, Fraction] = {}
+    total = zero(order)
     for sign, m, n in parts:
-        for e, c in _minimal_char(5, 6, m, n, order).terms:
-            prev = acc.get(e)
-            acc[e] = sign * c if prev is None else prev + sign * c
-    return _build(acc, order)
+        total = (add if sign > 0 else sub)(total, _minimal_char(5, 6, m, n, order))
+    return total
 
 
 def lowest_weight_from_char(f: PuiseuxSeries, c: Rational) -> Fraction:

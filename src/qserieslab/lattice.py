@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .products import ProductFactor, ProductSpec, expand_product
-from .series import PuiseuxSeries, Rational, _build, _ceil, _frac, _highest_order_memo, mul
+from .series import PuiseuxSeries, Rational, _ceil, _frac, _from_grid, _highest_order_memo, _shift, mul
 
 __all__ = [
     "RootVector",
@@ -152,8 +152,7 @@ def fkw_character(order: Rational, *, window_margin: int = 0) -> PuiseuxSeries:
             vx = sx + 20 * n
             branches.append(ThetaBranch(2 * sy - vx, (vx * vx - vx * sy + sy * sy) / 20, w.sign))
     theta = theta_sum(ThetaSumSpec(Fraction(20), tuple(branches)), oshift)
-    result = mul(theta, expand_product(_RECIPROCAL_PHI_SQUARED, oshift))
-    return _build({e + prefactor: c for e, c in result.terms}, o)
+    return _shift(mul(theta, expand_product(_RECIPROCAL_PHI_SQUARED, oshift)), prefactor)
 
 
 @dataclass(frozen=True)
@@ -191,29 +190,28 @@ def theta_sum(spec: ThetaSumSpec, order: Rational) -> PuiseuxSeries:
     if not spec.branches:
         return PuiseuxSeries(1, o, ())
     a = spec.quadratic
-    max_b = max(abs(br.linear) for br in spec.branches)
-    max_c = max(abs(br.constant) for br in spec.branches)
-    m_spec = isqrt(max(0, _ceil((o + max_b + max_c + 1) / a))) + 2
     # Past every branch vertex the exponent grows in |m|; stop once a whole
     # ring lands at or above the order from there on.
-    vertex = _ceil(max_b / (2 * a)) + 1
-    acc: dict[Fraction, Fraction] = {}
+    vertex = _ceil(max(abs(br.linear) for br in spec.branches) / (2 * a)) + 1
+    # Every exponent A*m^2 + B*m + C is an integer numerator over the grid.
+    grid = lcm(a.denominator, *(x.denominator for br in spec.branches for x in (br.linear, br.constant)))
+    quad = int(a * grid)
+    terms = [(int(br.linear * grid), int(br.constant * grid), br.sign) for br in spec.branches]
+    top = _ceil(o * grid)
+    acc: dict[int, int] = {}
 
     def emit(m: int) -> bool:
         hit = False
-        for br in spec.branches:
-            e = a * m * m + br.linear * m + br.constant
-            if e < o:
+        for lin, const, sign in terms:
+            e = quad * m * m + lin * m + const
+            if e < top:
                 hit = True
-                prev = acc.get(e)
-                acc[e] = Fraction(br.sign) if prev is None else prev + br.sign
+                acc[e] = acc.get(e, 0) + sign
         return hit
 
     emit(0)
     m = 1
-    while True:
-        hit = emit(m) | emit(-m)
-        if m >= m_spec and m > vertex and not hit:
-            break
+    while emit(m) | emit(-m) or m <= vertex:
         m += 1
-    return _build(acc, o)
+    exps = sorted(e for e, c in acc.items() if c)
+    return _from_grid(grid, exps, [Fraction(acc[e]) for e in exps], o)

@@ -5,6 +5,13 @@ exponents on the grid (1/D)*Z, exact rational coefficients, and an exclusive
 truncation order O: every coefficient at an exponent below O is exact, and
 nothing is claimed at or above O.  Exponents may be negative.  All values are
 immutable; every operation is a pure function.
+
+Every operation that makes new terms computes their exponent numerators over
+one common grid, in ascending order, and hands them to _from_grid, the one
+constructor: it drops what lies at or beyond the order and reduces the
+grading to the lcm of the exponent denominators.  The certified order is the
+operation's own: min(O_a, O_b) for add and sub, O_a + h for the prefactor
+shift _shift(a, h) = q^h * a, and the bounds stated on mul and invert.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 Rational = Union[Fraction, int, str]
 
@@ -160,19 +167,6 @@ class PuiseuxSeries:
         return to_text(self)
 
 
-def _build(mapping: Mapping[Fraction, Fraction], order: Fraction) -> PuiseuxSeries:
-    """Canonicalize a sparse exponent->coefficient mapping into a series.
-
-    Drops zeros and anything at or beyond the order; the grading denominator is
-    reduced to the lcm of the surviving exponent denominators.
-    """
-    items = sorted((e, c) for e, c in mapping.items() if c != 0 and e < order)
-    grading = 1
-    for e, _ in items:
-        grading = lcm(grading, e.denominator)
-    return PuiseuxSeries(grading, order, tuple(items))
-
-
 def _from_grid(grid: int, exps: Sequence[int], coefs: Sequence[Fraction], order: Fraction) -> PuiseuxSeries:
     """Canonical series from ascending exponent numerators over `grid` and
     their nonzero coefficients.
@@ -276,19 +270,31 @@ def _highest_order_memo(fn: Callable[..., PuiseuxSeries]) -> Callable[..., Puise
 
 
 def add(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    out: dict[Fraction, Fraction] = dict(a.terms)
-    for e, c in b.terms:
-        s = out.get(e)
-        out[e] = c if s is None else s + c
-    return _build(out, min(a.order, b.order))
+    return _combine(a, b, 1)
 
 
 def sub(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    out: dict[Fraction, Fraction] = dict(a.terms)
-    for e, c in b.terms:
-        s = out.get(e)
-        out[e] = -c if s is None else s - c
-    return _build(out, min(a.order, b.order))
+    return _combine(a, b, -1)
+
+
+def _combine(a: PuiseuxSeries, b: PuiseuxSeries, sign: int) -> PuiseuxSeries:
+    """a + sign*b, exact below min(O_a, O_b), summed on the exponent
+    numerators over lcm(D_a, D_b)."""
+    grid = lcm(a.grading, b.grading)
+    out = dict(zip(_grid_numerators(a.terms, grid), (c for _, c in a.terms)))
+    for k, c in zip(_grid_numerators(b.terms, grid), (c if sign > 0 else -c for _, c in b.terms)):
+        s = out.get(k)
+        out[k] = c if s is None else s + c
+    exps = sorted(k for k, c in out.items() if c)
+    return _from_grid(grid, exps, [out[k] for k in exps], min(a.order, b.order))
+
+
+def _shift(a: PuiseuxSeries, h: Fraction) -> PuiseuxSeries:
+    """q^h * a, exact below O_a + h."""
+    grid = lcm(a.grading, h.denominator)
+    base = h.numerator * (grid // h.denominator)
+    exps = [base + k for k in _grid_numerators(a.terms, grid)]
+    return _from_grid(grid, exps, [c for _, c in a.terms], a.order + h)
 
 
 def scale(a: PuiseuxSeries, c: Rational) -> PuiseuxSeries:
@@ -341,13 +347,17 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     return _from_grid(grid, exps, [Fraction(out[e], den) for e in exps], order)
 
 
+def _grid_numerators(terms: Sequence[tuple[Fraction, Fraction]], grid: int) -> list[int]:
+    """The exponents' numerators over `grid`, a multiple of each denominator."""
+    return [e.numerator * (grid // e.denominator) for e, _ in terms]
+
+
 def _numerators(terms: Sequence[tuple[Fraction, Fraction]], grid: int) -> tuple[list[int], list[int], int]:
     """Exponent numerators over `grid` and coefficient numerators over their
     common denominator, which is returned third."""
     den = lcm(*(c.denominator for _, c in terms))
-    exps = [e.numerator * (grid // e.denominator) for e, _ in terms]
     coefs = [c.numerator * (den // c.denominator) for _, c in terms]
-    return exps, coefs, den
+    return _grid_numerators(terms, grid), coefs, den
 
 
 def _kronecker_mul(
@@ -422,33 +432,24 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
     h = a.terms[0][0]
     c0 = a.terms[0][1]
     order = a.order - 2 * h
-    if len(a.terms) == 1:
-        return _build({-h: 1 / c0}, order)
-    exps = [e.numerator * (a.grading // e.denominator) for e, _ in a.terms]
-    step = gcd(*(x - exps[0] for x in exps))
+    exps = _grid_numerators(a.terms, a.grading)
+    step = gcd(*(x - exps[0] for x in exps)) or a.grading  # any step fits a monomial
     count = _ceil((order * a.grading + exps[0]) / step)
-    coeffs = [Fraction(0)] * ((exps[-1] - exps[0]) // step + 1)
+    coeffs: list = [Fraction(0)] * ((exps[-1] - exps[0]) // step + 1)
     for x, (_, c) in zip(exps, a.terms):
         coeffs[(x - exps[0]) // step] = c
-    integral = c0 in (1, -1) and all(c.denominator == 1 for c in coeffs)
-    if integral:
-        avals = [int(c) for c in coeffs]
-        a0 = avals[0]
-        inv: list = [a0]  # 1/a0 = a0 for a0 = +-1
-        for n in range(1, count):
-            s = 0
-            for k in range(1, min(n, len(avals) - 1) + 1):
-                if avals[k]:
-                    s += avals[k] * inv[n - k]
-            inv.append(-s * a0)
+    if c0 in (1, -1) and all(c.denominator == 1 for c in coeffs):
+        coeffs = [c.numerator for c in coeffs]  # stay on ints: 1/c0 = c0
+        r0 = coeffs[0]
     else:
-        inv = [1 / c0]
-        for n in range(1, count):
-            s = Fraction(0)
-            for k in range(1, min(n, len(coeffs) - 1) + 1):
-                if coeffs[k]:
-                    s += coeffs[k] * inv[n - k]
-            inv.append(-s / c0)
+        r0 = 1 / c0
+    inv = [r0]
+    for n in range(1, count):
+        s = 0
+        for k in range(1, min(n, len(coeffs) - 1) + 1):
+            if coeffs[k]:
+                s += coeffs[k] * inv[n - k]
+        inv.append(-s * r0)
     nonzero = [n for n, v in enumerate(inv) if v]
     inv_exps = [n * step - exps[0] for n in nonzero]
     return _from_grid(a.grading, inv_exps, [Fraction(inv[n]) for n in nonzero], order)
@@ -463,9 +464,8 @@ def substitute(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:
     f = _frac(r)
     if f <= 0:
         raise ValueError(f"substitution exponent must be positive, got {f}")
-    d = a.grading
-    exps = [e.numerator * (d // e.denominator) * f.numerator for e, _ in a.terms]
-    return _from_grid(d * f.denominator, exps, [c for _, c in a.terms], a.order * f)
+    exps = [k * f.numerator for k in _grid_numerators(a.terms, a.grading)]
+    return _from_grid(a.grading * f.denominator, exps, [c for _, c in a.terms], a.order * f)
 
 
 def substitute_signed(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:
@@ -482,7 +482,7 @@ def substitute_signed(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:
     if not a.terms:
         return PuiseuxSeries(1, a.order * f, ())
     d = a.grading
-    exps = [e.numerator * (d // e.denominator) for e, _ in a.terms]
+    exps = _grid_numerators(a.terms, d)
     lead = exps[0]
     coefs = []
     for k, (_, c) in zip(exps, a.terms):

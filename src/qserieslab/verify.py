@@ -195,11 +195,11 @@ def evaluate(expr: Expr, order: Rational) -> Value:
     min(O_a + lead(b), O_b + lead(a)) reaches o (an empty factor's lead is
     bounded by 0); when a probe raised, it asks once more with the leads
     the factors showed.  An inversion asks for max(o, 1), to see a lead h
-    below 1, then for o + 2h.  A specialization widens its child's zmin/zmax
-    to the smallest symmetric window (never narrower) whose excluded layers
-    reach o, by the floor of an order-0 probe, and asks for (o - edge*w)/r.
-    Without a floor it raises InsufficientWindowError; a child without
-    zmin/zmax fields keeps its window and may certify less than o.
+    below 1, then for o + 2h.  A specialization widens the window of every
+    two-variable leaf under it, through sums and differences, to the
+    smallest symmetric one (never narrower) whose excluded layers reach o,
+    by the floor of an order-0 probe, and asks for (o - edge*w)/r.  Without
+    a floor it raises InsufficientWindowError.
     """
     o = _frac(order)
     if isinstance(expr, Name):
@@ -254,14 +254,22 @@ def evaluate(expr: Expr, order: Rational) -> Value:
         if not isinstance(probe, bv.BivariateSeries):
             raise EvaluationError("specialize needs a two-variable series")
         zmin, zmax, width = probe.zmin, probe.zmax, 0
-        widen = hasattr(expr.child, "zmin")  # the child holds its window as fields
-        while widen and (bound := bv._excluded_floor(probe.floor, zmin, zmax, r, w)) is not None and bound < o:
+        while (bound := bv._excluded_floor(probe.floor, zmin, zmax, r, w)) is not None and bound < o:
             width += 1
             zmin, zmax = min(probe.zmin, -width), max(probe.zmax, width)
-        child = replace(expr.child, zmin=zmin, zmax=zmax) if widen else expr.child
         edge = zmin if w >= 0 else zmax
-        return bv.specialize(evaluate(child, (o - edge * w) / r), r, w)
+        return bv.specialize(evaluate(_widened(expr.child, zmin, zmax), (o - edge * w) / r), r, w)
     raise EvaluationError(f"unknown expression node {expr!r}")
+
+
+def _widened(expr: Expr, zmin: int, zmax: int) -> Expr:
+    """expr with the window of every two-variable leaf under its sums and
+    differences stretched to cover [zmin, zmax], never narrowed."""
+    if isinstance(expr, (Add, Sub)):
+        return replace(expr, left=_widened(expr.left, zmin, zmax), right=_widened(expr.right, zmin, zmax))
+    if isinstance(expr, (QuintupleLHS, QuintupleRHS, BivariateThetaExpr)):
+        return replace(expr, zmin=min(expr.zmin, zmin), zmax=max(expr.zmax, zmax))
+    return expr
 
 
 def _negative_lead(expr: Expr) -> int:

@@ -25,6 +25,7 @@ from qserieslab import (
     zero,
 )
 from qserieslab.products import euler_phi
+from qserieslab.series import _shift
 from oracles import dict_mul, partition_counts
 
 
@@ -78,6 +79,21 @@ class TestAdd:
         lhs = add(minimal_char(CharLabel(5, 6, 1, 2), F(5)), minimal_char(CharLabel(5, 6, 1, 4), F(5)))
         rhs = substitute(minimal_char(CharLabel(2, 5, 1, 1), F(10)), F(1, 2))
         assert compare(lhs, rhs, 5) is None
+
+
+class TestShift:
+    def test_negative_fractional_shift(self):
+        a = PuiseuxSeries(2, F(7, 2), ((F(-1, 2), F(3)), (F(1), F(-1))))
+        s = _shift(a, F(-4, 3))
+        assert s == PuiseuxSeries(6, F(13, 6), ((F(-11, 6), F(3)), (F(-1, 3), F(-1))))
+
+    def test_empty_series_keeps_the_shifted_order(self):
+        assert _shift(zero(-3, 4), F(5, 6)) == PuiseuxSeries(1, F(-13, 6), ())
+
+    def test_grading_reduces(self):
+        # q^(1/6) * (q^(-1/6) + 2q^(5/6)) lies on the integer grid
+        a = PuiseuxSeries(6, F(2), ((F(-1, 6), F(1)), (F(5, 6), F(2))))
+        assert _shift(a, F(1, 6)) == PuiseuxSeries(1, F(13, 6), ((F(0), F(1)), (F(1), F(2))))
 
 
 class TestMul:

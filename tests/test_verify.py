@@ -136,13 +136,14 @@ class TestCheck:
         assert report.order_checked == 0
         assert report.mismatch is None
 
-    def test_window_that_cannot_widen_reported_not_raised(self):
-        # a sum keeps its children's +-25 window, which certifies 1089/2 < 600
+    def test_window_widens_through_a_sum(self):
+        # both terms of the sum widen past their +-25 window, which alone
+        # certifies only 1089/2 < 600
         quintuple = QuintupleLHS(-25, 25)
         chain = Specialize(Add(quintuple, quintuple), F(5, 2), F(-3, 2))
         report = check_record(IdentityRecord("SUM-WINDOW", chain, chain, F(600)), 600)
-        assert report.status is Status.INSUFFICIENT_ORDER
-        assert report.order_checked == F(1089, 2)
+        assert report.status is Status.PASS
+        assert report.order_checked == 600
         assert report.mismatch is None
 
     def test_mismatch_below_certification_still_fails(self):
