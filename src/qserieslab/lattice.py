@@ -187,12 +187,10 @@ class ThetaSumSpec:
 def theta_sum(spec: ThetaSumSpec, order: Rational) -> PuiseuxSeries:
     """Exact expansion of the theta sum mod q^order."""
     o = _frac(order)
-    if not spec.branches:
-        return PuiseuxSeries(1, o, ())
     a = spec.quadratic
     # Past every branch vertex the exponent grows in |m|; stop once a whole
     # ring lands at or above the order from there on.
-    vertex = _ceil(max(abs(br.linear) for br in spec.branches) / (2 * a)) + 1
+    vertex = _ceil(max((abs(br.linear) for br in spec.branches), default=0) / (2 * a)) + 1
     # Every exponent A*m^2 + B*m + C is an integer numerator over the grid.
     grid = lcm(a.denominator, *(x.denominator for br in spec.branches for x in (br.linear, br.constant)))
     quad = int(a * grid)

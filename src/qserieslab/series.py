@@ -433,7 +433,9 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
     c0 = a.terms[0][1]
     order = a.order - 2 * h
     exps = _grid_numerators(a.terms, a.grading)
-    step = gcd(*(x - exps[0] for x in exps)) or a.grading  # any step fits a monomial
+    if len(exps) == 1:
+        return _from_grid(a.grading, [-exps[0]], [1 / c0], order)
+    step = gcd(*(x - exps[0] for x in exps))
     count = _ceil((order * a.grading + exps[0]) / step)
     coeffs: list = [Fraction(0)] * ((exps[-1] - exps[0]) // step + 1)
     for x, (_, c) in zip(exps, a.terms):

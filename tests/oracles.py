@@ -75,14 +75,15 @@ def dict_specialize(layers, r: Fraction, w: Fraction, order: Fraction) -> dict[F
     return out
 
 
-def excluded_minimum(floor, zmin: int, zmax: int, r: Fraction, w: Fraction, reach: int = 200):
+def excluded_minimum(floor, zmin: int, zmax: int, r: Fraction, w: Fraction):
     """Smallest r*(A m^2 + B m + C) + w*k over the floor's layers
-    k = modulus*m + residue outside [zmin, zmax], by trying every |m| <= reach;
-    None when the floor has no branch."""
+    k = modulus*m + residue outside [zmin, zmax], by trying every |m| <= 200,
+    far past the vertex of any floor the tests draw; None when the floor has
+    no branch."""
     values = [
         r * (br.quad * m * m + br.lin * m + br.const) + w * (floor.modulus * m + br.residue)
         for br in floor.branches
-        for m in range(-reach, reach + 1)
+        for m in range(-200, 201)
         if not zmin <= floor.modulus * m + br.residue <= zmax
     ]
     return min(values, default=None)

@@ -224,7 +224,7 @@ def graded_series(draw, order=None):
 
 @st.composite
 def cancelling_pairs(draw):
-    """Two series on different gradings where the second may repeat any of
+    """Two series on drawn gradings where the second may repeat any of
     the first's terms with either sign, so that the sum or the difference
     cancels them, down to nothing at all."""
     a, b = draw(graded_series()), draw(graded_series())
