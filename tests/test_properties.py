@@ -3,9 +3,9 @@
 import io
 import os
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from fractions import Fraction as F
-from math import lcm
+from math import ceil, lcm
 from unittest.mock import patch
 
 from hypothesis import assume, example, given, strategies as st
@@ -589,3 +589,124 @@ def test_verify_all_exit_codes(lines, order):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert " FAIL " in out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Continuations: a certified order promises that nothing at or above it can
+# change what lies below.  Continue each input past its order (terms added at
+# or above O, O raised) and the result of every operation must agree with
+# its own continuation below the order it certified.
+
+
+@st.composite
+def continuations(draw, a, whole_steps=False):
+    """a with terms added at or above O_a on its grid (at whole steps from its
+    lead when whole_steps), certified to a higher order."""
+    step = F(1) if whole_steps else F(1, a.grading)
+    start = a.terms[0][0] if a.terms else a.order
+    first = start + step * ceil((a.order - start) / step)
+    offsets = sorted(draw(st.sets(st.integers(0, 6), max_size=3)))
+    extra = tuple((first + j * step, draw(nonzero_fractions)) for j in offsets)
+    top = max([a.order, *(e for e, _ in extra)])
+    order = top + draw(st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6))
+    grading = lcm(a.grading, *(e.denominator for e, _ in extra))
+    return PuiseuxSeries(grading, order, a.terms + extra)
+
+
+def _whole_steps(a: PuiseuxSeries) -> PuiseuxSeries:
+    """a without the terms at a fractional step from its lead."""
+    lead = a.terms[0][0] if a.terms else 0
+    return PuiseuxSeries(a.grading, a.order, tuple((e, c) for e, c in a.terms if (e - lead).denominator == 1))
+
+
+@st.composite
+def continued(draw, whole_steps=False):
+    a = draw(graded_series())
+    if whole_steps:
+        a = _whole_steps(a)
+    return a, draw(continuations(a, whole_steps))
+
+
+def assert_continues(result: PuiseuxSeries, continued_result: PuiseuxSeries) -> None:
+    assert compare(result, continued_result, result.order) is None
+
+
+# Two empty operands certified to -3: their product is certified to -6, and
+# continuations that start at q^-3 meet at q^-6.
+_EMPTY_AT_MINUS_3 = (zero(-3), PuiseuxSeries(1, F(-2), ((F(-3), F(1)),)))
+
+
+@given(continued(), continued(), st.booleans())
+@example(_EMPTY_AT_MINUS_3, _EMPTY_AT_MINUS_3, False)
+@example(_EMPTY_AT_MINUS_3, _EMPTY_AT_MINUS_3, True)
+def test_sums_and_products_hold_on_continuations(x, y, packed):
+    (a, a2), (b, b2) = x, y
+    assert_continues(add(a, b), add(a2, b2))
+    assert_continues(sub(a, b), sub(a2, b2))
+    # with no naive budget every product of nonzero operands takes the packed path
+    with patch.object(series, "_NAIVE_LIMIT", 0) if packed else nullcontext():
+        assert_continues(mul(a, b), mul(a2, b2))
+
+
+@given(
+    continued(),
+    st.one_of(st.just(F(0)), nonzero_fractions),
+    ratios,
+    st.fractions(min_value=-7, max_value=31, max_denominator=6),
+)
+def test_unary_operations_hold_on_continuations(x, c, r, cut):
+    a, a2 = x
+    assert_continues(scale(a, c), scale(a2, c))
+    assert_continues(substitute(a, r), substitute(a2, r))
+    cut = min(cut, a.order)
+    assert_continues(truncate(a, cut), truncate(a2, cut))
+    if a.terms:
+        assert_continues(invert(a), invert(a2))
+
+
+@given(continued(whole_steps=True), ratios)
+def test_signed_substitution_holds_on_continuations(x, r):
+    a, a2 = x
+    assert_continues(substitute_signed(a, r), substitute_signed(a2, r))
+
+
+def _floor_at(floor, k: int):
+    """The lowest q-exponent the floor allows on the layer z^k, None when it
+    holds no mass there."""
+    for br in floor.branches:
+        if k % floor.modulus == br.residue:
+            m = (k - br.residue) // floor.modulus
+            return br.quad * m * m + br.lin * m + br.const
+    return None
+
+
+@st.composite
+def continued_bivariate(draw):
+    """A bivariate series, a specialization (r, w), and a continuation: the
+    window widened by layers that respect the floor, every layer continued
+    past the order, and the order raised by at least what the wider window
+    costs under z -> q^w."""
+    b = draw(bivariate_series())
+    r = draw(st.sampled_from([F(1, 2), F(1), F(5, 2)]))
+    w = draw(st.sampled_from([F(-3, 2), F(0), F(1, 3)]))
+    below, above = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    cost = (below * max(w, 0) - above * min(w, 0)) / r
+    order = b.order + cost + draw(st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6))
+    layers = {}
+    for k in range(b.zmin - below, b.zmax + above + 1):
+        inside = b.zmin <= k <= b.zmax
+        start = b.order if inside else _floor_at(b.floor, k)
+        if start is None:
+            continue
+        offsets = sorted(draw(st.sets(st.integers(0, 12), max_size=3)))
+        extra = [(ceil(start * 6) / F(6) + F(j, 6), draw(nonzero_fractions)) for j in offsets]
+        terms = (b.layer(k).terms if inside else ()) + tuple(t for t in extra if t[0] < order)
+        layers[k] = PuiseuxSeries(lcm(6, b.layer(k).grading), order, terms)
+    wide = bivariate_from_layers(layers, (b.zmin - below, b.zmax + above), order, b.floor)
+    return b, r, w, wide
+
+
+@given(continued_bivariate())
+def test_specialize_holds_on_continuations(case):
+    b, r, w, wide = case
+    assert_continues(specialize(b, r, w), specialize(wide, r, w))
