@@ -706,7 +706,18 @@ def continued_bivariate(draw):
     return b, r, w, wide
 
 
+# The window edge z^-3 holds nothing below q^2, but its continuation's q^2
+# lands at q^(2 - 3/3) under z -> q^(1/3): the edge bounds the order even
+# when its layer is empty.
 @given(continued_bivariate())
+@example(
+    (
+        bivariate_from_layers({}, (-3, 1), F(2), COMPLETE_SUPPORT),
+        F(1),
+        F(1, 3),
+        bivariate_from_layers({-3: monomial(1, 2, 1, 3)}, (-3, 1), F(3), COMPLETE_SUPPORT),
+    )
+)
 def test_specialize_holds_on_continuations(case):
     b, r, w, wide = case
     assert_continues(specialize(b, r, w), specialize(wide, r, w))
