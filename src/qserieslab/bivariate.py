@@ -226,7 +226,7 @@ def quintuple_rhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
     for k, layer in state.items():
         if zmin <= k <= zmax:
             exps = sorted(layer)
-            layers[k] = _from_grid(1, exps, [Fraction(layer[e]) for e in exps], o)
+            layers[k] = _from_grid(1, exps, [layer[e] for e in exps], 1, o)
     return bivariate_from_layers(layers, window, o, QUINTUPLE_FLOOR)
 
 

@@ -182,15 +182,15 @@ def a22_char(module: A22Module, order: Rational) -> PuiseuxSeries:
     o = _frac(order)
     if module is A22Module.BASIC_LAMBDA1:
         return expand_product(_A22_BASIC, o)
-    # children get a one-unit cushion so the product bound still reaches o
-    basic = expand_product(_A22_BASIC, o + 1)
+    # asked for max(o, 0) + 1, both factors lead just below 0: the product reaches o
+    cushion = max(o, 0) + 1
+    basic = expand_product(_A22_BASIC, cushion)
     if module is A22Module.TWO_LAMBDA1:
-        factor = substitute(_minimal_char(2, 5, 1, 2, 3 * (o + 1)), Fraction(1, 3))
+        factor = substitute(_minimal_char(2, 5, 1, 2, 3 * cushion), Fraction(1, 3))
         return truncate(mul(basic, factor), o)
     if module is A22Module.LAMBDA0:
-        factor = substitute(_minimal_char(2, 5, 1, 1, 3 * (o + 1)), Fraction(1, 3))
-        shifted = _shift(mul(basic, factor), Fraction(1, 6))
-        return truncate(shifted, min(shifted.order, o))
+        factor = substitute(_minimal_char(2, 5, 1, 1, 3 * cushion), Fraction(1, 3))
+        return truncate(_shift(mul(basic, factor), Fraction(1, 6)), o)
     raise ValueError(f"unknown module {module!r}")
 
 

@@ -75,6 +75,7 @@ def _build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="verb", required=True)
 
     def common(sub: argparse.ArgumentParser, with_registry: bool) -> None:
+        sub._negative_number_matcher = _ORDER_RE  # -1/2 is a value, as -3 is
         sub.add_argument("--order", type=_order_arg, default=Fraction(50),
                          help="exclusive truncation order as p/q (default 50)")
         sub.add_argument("--json", action="store_true", help="machine-readable output")
@@ -252,10 +253,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     try:
         cmd = parse_args(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -212,4 +212,4 @@ def theta_sum(spec: ThetaSumSpec, order: Rational) -> PuiseuxSeries:
     while emit(m) | emit(-m) or m <= vertex:
         m += 1
     exps = sorted(e for e, c in acc.items() if c)
-    return _from_grid(grid, exps, [Fraction(acc[e]) for e in exps], o)
+    return _from_grid(grid, exps, [acc[e] for e in exps], 1, o)

@@ -94,7 +94,7 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
     num, den = spec.prefactor_coefficient.numerator, spec.prefactor_coefficient.denominator
     nonzero = [i for i, c in enumerate(coeffs) if c]
     exps = [base + i * unit for i in nonzero]
-    return _from_grid(out_grid, exps, [Fraction(coeffs[i] * num, den) for i in nonzero], o)
+    return _from_grid(out_grid, exps, [coeffs[i] * num for i in nonzero], den, o)
 
 
 def _grid(spec: ProductSpec, cutoff: Fraction) -> int:

@@ -1,17 +1,22 @@
 """Exact truncated Puiseux series in q.
 
-A series is a finite list of (exponent, coefficient) pairs with rational
-exponents on the grid (1/D)*Z, exact rational coefficients, and an exclusive
-truncation order O: every coefficient at an exponent below O is exact, and
-nothing is claimed at or above O.  Exponents may be negative.  All values are
-immutable; every operation is a pure function.
+A series is a finite list of terms c*q^e with rational exponents on the grid
+(1/D)*Z, exact rational coefficients, and an exclusive truncation order O:
+every coefficient at an exponent below O is exact, and nothing is claimed at
+or above O.  Exponents may be negative.  All values are immutable; every
+operation is a pure function.
 
-Every operation that makes new terms computes their exponent numerators over
-one common grid, in ascending order, and hands them to _from_grid, the one
-constructor: it drops what lies at or beyond the order and reduces the
-grading to the lcm of the exponent denominators.  The certified order is the
-operation's own: min(O_a, O_b) for add and sub, O_a + h for the prefactor
-shift _shift(a, h) = q^h * a, and the bounds stated on mul and invert.
+A series stores integers: the grading D, the ascending exponent numerators
+`exps` over D, and the nonzero coefficient numerators `nums` over one
+denominator `den` > 0, kept canonical with gcd(den, *nums) = 1; only O is a
+Fraction.  Fractions are built at the edge: `terms`, `coefficient`,
+`leading_*` and the text format.  Every operation computes its terms on
+integers over one common grid, in ascending order, and hands them to
+_from_grid, the one internal constructor: it drops what lies at or beyond the
+order, reduces the grading to the lcm of the exponent denominators and den to
+lowest terms.  The certified order is the operation's own: min(O_a, O_b) for
+add and sub, O_a + h for the prefactor shift _shift(a, h) = q^h * a, and the
+bounds stated on mul and invert.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from bisect import bisect_left
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import wraps
 from math import gcd, lcm
-from operator import itemgetter
+from operator import ge
 from typing import Callable, Optional, Sequence, Union
 
 Rational = Union[Fraction, int, str]
@@ -91,59 +96,75 @@ class Mismatch:
     z_exponent: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PuiseuxSeries:
+    """The terms (n/den)*q^(k/grading) for k, n in zip(exps, nums), exact below
+    the order; canonical, so equal series have equal fields.  The constructor
+    takes ascending (exponent, coefficient) pairs below the order and checks them.
+    """
+
     grading: int
     order: Fraction
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    exps: tuple[int, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        d = self.grading
+    def __init__(self, grading: int, order: Rational, terms: Sequence[tuple[Rational, Rational]]) -> None:
+        d = grading
         if d < 1:
             raise GradingError(f"grading denominator must be positive, got {d}")
-        # Checked on integers: e = n/den lies on the grid iff den divides d,
-        # and its grid numerator n*(d/den) orders the terms.
-        top = _ceil(self.order * d)
-        prev = None
-        for e, c in self.terms:
-            den = e.denominator
-            if d % den:
+        o = _frac(order)
+        # On integers: e = n/m lies on the grid iff m divides d.
+        top = _ceil(o * d)
+        exps: list[int] = []
+        for e, c in terms:
+            m = e.denominator
+            if d % m:
                 raise GradingError(f"exponent {e} not on the (1/{d})Z grid")
             if not c:
                 raise ValueError(f"zero coefficient stored at exponent {e}")
-            k = e.numerator * (d // den)
+            k = e.numerator * (d // m)
             if k >= top:
-                raise ValueError(f"term at {e} at or beyond truncation order {self.order}")
-            if prev is not None and k <= prev:
+                raise ValueError(f"term at {e} at or beyond truncation order {o}")
+            if exps and k <= exps[-1]:
                 raise ValueError("exponents must be strictly increasing")
-            prev = k
+            exps.append(k)
+        # Over the lcm of the reduced denominators gcd(den, *nums) is already 1.
+        coefs = [_frac(c) for _, c in terms]
+        den = lcm(*(c.denominator for c in coefs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in coefs)
+        vars(self).update(grading=d, order=o, exps=tuple(exps), nums=nums, den=den)
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The ascending (exponent, coefficient) pairs, as Fractions."""
+        d, den = self.grading, self.den
+        return tuple((Fraction(k, d), Fraction(n, den)) for k, n in zip(self.exps, self.nums))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.exps
 
     @property
     def leading_exponent(self) -> Fraction:
-        if not self.terms:
+        if not self.exps:
             raise EmptySeriesError("zero series has no leading exponent")
-        return self.terms[0][0]
+        return Fraction(self.exps[0], self.grading)
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.terms:
+        if not self.exps:
             raise EmptySeriesError("zero series has no leading coefficient")
-        return self.terms[0][1]
-
-    @cached_property
-    def _lookup(self) -> dict[Fraction, Fraction]:
-        return dict(self.terms)
+        return Fraction(self.nums[0], self.den)
 
     def coefficient(self, exponent: Rational) -> Fraction:
         """Coefficient at the given exponent; raises beyond the truncation order."""
         e = _frac(exponent)
         if e >= self.order:
             raise InsufficientOrderError(f"exponent {e} is beyond the truncation order {self.order}")
-        return self._lookup.get(e, Fraction(0))
+        k = e * self.grading  # an integer exactly when e lies on the grid
+        i = bisect_left(self.exps, k)
+        return Fraction(self.nums[i], self.den) if self.exps[i : i + 1] == (k,) else Fraction(0)
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not isinstance(other, PuiseuxSeries):
@@ -167,23 +188,35 @@ class PuiseuxSeries:
         return to_text(self)
 
 
-def _from_grid(grid: int, exps: Sequence[int], coefs: Sequence[Fraction], order: Fraction) -> PuiseuxSeries:
-    """Canonical series from ascending exponent numerators over `grid` and
-    their nonzero coefficients.
+def _from_grid(grid: int, exps: Sequence[int], nums: Sequence[int], den: int, order: Fraction) -> PuiseuxSeries:
+    """The series of ascending exponent numerators over `grid` and nonzero
+    coefficient numerators over den > 0, with the terms at or beyond the order
+    dropped, grid and exps divided by their gcd (the grading is then the lcm
+    of the exponent denominators), and den and nums by theirs."""
+    n = bisect_left(exps, _ceil(order * grid))
+    exps, nums = exps[:n], nums[:n]
+    if 0 in nums:
+        raise ValueError("zero coefficient stored")
+    if any(map(ge, exps, exps[1:])):
+        raise ValueError("exponents must be strictly increasing")
+    g = gcd(grid, *exps)
+    if g > 1:
+        grid, exps = grid // g, [k // g for k in exps]
+    g = gcd(den, *nums)
+    if g > 1:
+        den, nums = den // g, [c // g for c in nums]
+    s = object.__new__(PuiseuxSeries)
+    vars(s).update(grading=grid, order=order, exps=tuple(exps), nums=tuple(nums), den=den)
+    return s
 
-    Drops the terms at or beyond the order; the grading denominator is reduced
-    to grid / gcd(grid, exps), the lcm of the exponent denominators.
-    """
-    exps = exps[: bisect_left(exps, _ceil(order * grid))]
-    terms = tuple(zip([Fraction(e, grid) for e in exps], coefs))
-    return PuiseuxSeries(grid // gcd(grid, *exps), order, terms)
 
-
-_exponent = itemgetter(0)
+def _times(xs: Sequence[int], m: int) -> Sequence[int]:
+    """Numerators carried over to a grid or denominator m times as fine."""
+    return xs if m == 1 else [x * m for x in xs]
 
 
 def zero(order: Rational, grading: int = 1) -> PuiseuxSeries:
-    return PuiseuxSeries(grading, _frac(order), ())
+    return PuiseuxSeries(grading, order, ())
 
 
 def monomial(coefficient: Rational, exponent: Rational, grading: int, order: Rational) -> PuiseuxSeries:
@@ -201,8 +234,7 @@ def truncate(a: PuiseuxSeries, order: Rational) -> PuiseuxSeries:
     o = _frac(order)
     if o > a.order:
         raise InsufficientOrderError(f"cannot extend order {a.order} to {o}")
-    terms = a.terms[: bisect_left(a.terms, o, key=_exponent)]
-    return PuiseuxSeries(lcm(*(e.denominator for e, _ in terms)), o, terms)
+    return _from_grid(a.grading, a.exps, a.nums, a.den, o)
 
 
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
@@ -279,35 +311,36 @@ def sub(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
 
 def _combine(a: PuiseuxSeries, b: PuiseuxSeries, sign: int) -> PuiseuxSeries:
     """a + sign*b, exact below min(O_a, O_b), summed on the exponent
-    numerators over lcm(D_a, D_b)."""
-    grid = lcm(a.grading, b.grading)
-    out = dict(zip(_grid_numerators(a.terms, grid), (c for _, c in a.terms)))
-    for k, c in zip(_grid_numerators(b.terms, grid), (c if sign > 0 else -c for _, c in b.terms)):
+    numerators over lcm(D_a, D_b) and the coefficient numerators over
+    lcm(den_a, den_b)."""
+    grid, den = lcm(a.grading, b.grading), lcm(a.den, b.den)
+    out = dict(zip(_times(a.exps, grid // a.grading), _times(a.nums, den // a.den)))
+    for k, c in zip(_times(b.exps, grid // b.grading), _times(b.nums, sign * (den // b.den))):
         s = out.get(k)
         out[k] = c if s is None else s + c
     exps = sorted(k for k, c in out.items() if c)
-    return _from_grid(grid, exps, [out[k] for k in exps], min(a.order, b.order))
+    return _from_grid(grid, exps, [out[k] for k in exps], den, min(a.order, b.order))
 
 
 def _shift(a: PuiseuxSeries, h: Fraction) -> PuiseuxSeries:
     """q^h * a, exact below O_a + h."""
     grid = lcm(a.grading, h.denominator)
     base = h.numerator * (grid // h.denominator)
-    exps = [base + k for k in _grid_numerators(a.terms, grid)]
-    return _from_grid(grid, exps, [c for _, c in a.terms], a.order + h)
+    exps = [base + k for k in _times(a.exps, grid // a.grading)]
+    return _from_grid(grid, exps, a.nums, a.den, a.order + h)
 
 
 def scale(a: PuiseuxSeries, c: Rational) -> PuiseuxSeries:
     f = _frac(c)
     if f == 0:
-        return PuiseuxSeries(1, a.order, ())
-    return PuiseuxSeries(a.grading, a.order, tuple((e, f * v) for e, v in a.terms))
+        return zero(a.order)
+    return _from_grid(a.grading, a.exps, _times(a.nums, f.numerator), a.den * f.denominator, a.order)
 
 
 def _lead_bound(a: PuiseuxSeries) -> Fraction:
     """Leading exponent of a; for an empty series min(0, O), a lower bound on
     the lead of anything it truncated."""
-    return a.terms[0][0] if a.terms else min(Fraction(0), a.order)
+    return a.leading_exponent if a.exps else min(Fraction(0), a.order)
 
 
 # Above this many coefficient pair products, mul switches from the direct
@@ -324,76 +357,52 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     so two empty operands certify O_a + O_b when both orders are negative.
     """
     order = min(a.order + _lead_bound(b), b.order + _lead_bound(a))
-    if not a.terms or not b.terms:
-        return PuiseuxSeries(1, order, ())
-    # Terms that cannot influence exponents below the result order are pruned.
-    ta = a.terms[: bisect_left(a.terms, order - b.terms[0][0], key=_exponent)]
-    tb = b.terms[: bisect_left(b.terms, order - a.terms[0][0], key=_exponent)]
-    if not ta or not tb:
-        return PuiseuxSeries(1, order, ())
+    if not a.exps or not b.exps:
+        return zero(order)
     grid = lcm(a.grading, b.grading)
-    if len(ta) * len(tb) > _NAIVE_LIMIT:
-        return _kronecker_mul(ta, tb, order, grid)
-    ea, ca, den_a = _numerators(ta, grid)
-    eb, cb, den_b = _numerators(tb, grid)
+    ea, eb = _times(a.exps, grid // a.grading), _times(b.exps, grid // b.grading)
     top = _ceil(order * grid)
-    out: dict[int, int] = {}
-    for x, u in zip(ea, ca):
-        for y, v in zip(eb[: bisect_left(eb, top - x)], cb):
-            s = out.get(x + y)
-            out[x + y] = u * v if s is None else s + u * v
-    exps = sorted(e for e, v in out.items() if v)
-    den = den_a * den_b
-    return _from_grid(grid, exps, [Fraction(out[e], den) for e in exps], order)
-
-
-def _grid_numerators(terms: Sequence[tuple[Fraction, Fraction]], grid: int) -> list[int]:
-    """The exponents' numerators over `grid`, a multiple of each denominator."""
-    return [e.numerator * (grid // e.denominator) for e, _ in terms]
-
-
-def _numerators(terms: Sequence[tuple[Fraction, Fraction]], grid: int) -> tuple[list[int], list[int], int]:
-    """Exponent numerators over `grid` and coefficient numerators over their
-    common denominator, which is returned third."""
-    den = lcm(*(c.denominator for _, c in terms))
-    coefs = [c.numerator * (den // c.denominator) for _, c in terms]
-    return _grid_numerators(terms, grid), coefs, den
+    # Terms that cannot reach below the result order are pruned (never a lead).
+    na, nb = bisect_left(ea, top - eb[0]), bisect_left(eb, top - ea[0])
+    ea, ca, eb, cb = ea[:na], a.nums[:na], eb[:nb], b.nums[:nb]
+    if na * nb > _NAIVE_LIMIT:
+        exps, nums = _kronecker_mul(ea, eb, ca, cb, top)
+    else:
+        out: dict[int, int] = {}
+        for x, u in zip(ea, ca):
+            for y, v in zip(eb[: bisect_left(eb, top - x)], cb):
+                s = out.get(x + y)
+                out[x + y] = u * v if s is None else s + u * v
+        exps = sorted(e for e, v in out.items() if v)
+        nums = [out[e] for e in exps]
+    return _from_grid(grid, exps, nums, a.den * b.den, order)
 
 
 def _kronecker_mul(
-    ta: Sequence[tuple[Fraction, Fraction]],
-    tb: Sequence[tuple[Fraction, Fraction]],
-    order: Fraction,
-    grid: int,
-) -> PuiseuxSeries:
-    """Sparse product via one packed big-integer multiplication.
+    ea: Sequence[int], eb: Sequence[int], ca: Sequence[int], cb: Sequence[int], top: int
+) -> tuple[list[int], list[int]]:
+    """The product's exponent and coefficient numerators below `top`, from
+    the operands' on one grid, via one packed big-integer multiplication.
 
-    Both operands are laid out densely on their common exponent stride, scaled
-    to integer coefficients and packed as little-endian signed digits of a
-    width that holds every coefficient of the product; Python's native
-    big-int product then does the convolution.
+    Both operands are laid out densely on their common exponent stride and
+    packed as little-endian signed digits of a width that holds every
+    coefficient of the product; Python's native big-int product then does
+    the convolution.
     """
-    ea, ca, den_a = _numerators(ta, grid)
-    eb, cb, den_b = _numerators(tb, grid)
     base_a, base_b = ea[0], eb[0]
-    g = gcd(*(e - base_a for e in ea), *(e - base_b for e in eb))
-    if g == 0:
-        # Both operands are monomials.
-        return _from_grid(grid, [base_a + base_b], [Fraction(ca[0] * cb[0], den_a * den_b)], order)
+    g = gcd(*(e - base_a for e in ea), *(e - base_b for e in eb)) or 1  # 0 for two monomials
     ia = _dense(ea, ca, g)
     ib = _dense(eb, cb, g)
     bound = max(map(abs, ca)) * max(map(abs, cb)) * min(len(ia), len(ib)) + 1
     nbytes = (bound.bit_length() + 9) // 8
-    count = min(len(ia) + len(ib) - 1, _ceil((order * grid - base_a - base_b) / g))
-    digits = _unpack(_pack(ia, nbytes) * _pack(ib, nbytes), nbytes, count)
     base = base_a + base_b
-    den = den_a * den_b
+    count = min(len(ia) + len(ib) - 1, -((base - top) // g))
+    digits = _unpack(_pack(ia, nbytes) * _pack(ib, nbytes), nbytes, count)
     nonzero = [i for i, v in enumerate(digits) if v]
-    exps = [base + i * g for i in nonzero]
-    return _from_grid(grid, exps, [Fraction(digits[i], den) for i in nonzero], order)
+    return [base + i * g for i in nonzero], [digits[i] for i in nonzero]
 
 
-def _dense(exps: list[int], coefs: list[int], g: int) -> list[int]:
+def _dense(exps: Sequence[int], coefs: Sequence[int], g: int) -> list[int]:
     base = exps[0]
     vals = [0] * ((exps[-1] - base) // g + 1)
     for e, c in zip(exps, coefs):
@@ -426,35 +435,33 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
 
     The inverse of q^h*(c0 + ...) leads at -h; perturbing a at order O_a moves
     the inverse at O_a - 2h, so that is the certified order of the result.
+    On integers, with a = q^h * (u/den) * sum_k n_k q^(k*step), u = ±1 and
+    n_0 > 0, the inverse's k-th coefficient is u * den * J_k / n_0^(k+1), where
+    J_0 = 1 and J_k = -sum_(i>=1) n_i * n_0^(i-1) * J_(k-i).
     """
-    if not a.terms:
+    if not a.exps:
         raise EmptySeriesError("cannot invert the zero series")
-    h = a.terms[0][0]
-    c0 = a.terms[0][1]
-    order = a.order - 2 * h
-    exps = _grid_numerators(a.terms, a.grading)
+    d, exps, u = a.grading, a.exps, 1 if a.nums[0] > 0 else -1
+    n0 = abs(a.nums[0])
+    order = a.order - 2 * Fraction(exps[0], d)
     if len(exps) == 1:
-        return _from_grid(a.grading, [-exps[0]], [1 / c0], order)
+        return _from_grid(d, [-exps[0]], [u * a.den], n0, order)
     step = gcd(*(x - exps[0] for x in exps))
-    count = _ceil((order * a.grading + exps[0]) / step)
-    coeffs: list = [Fraction(0)] * ((exps[-1] - exps[0]) // step + 1)
-    for x, (_, c) in zip(exps, a.terms):
-        coeffs[(x - exps[0]) // step] = c
-    if c0 in (1, -1) and all(c.denominator == 1 for c in coeffs):
-        coeffs = [c.numerator for c in coeffs]  # stay on ints: 1/c0 = c0
-        r0 = coeffs[0]
-    else:
-        r0 = 1 / c0
-    inv = [r0]
+    count = _ceil((order * d + exps[0]) / step)
+    coeffs = [0] * ((exps[-1] - exps[0]) // step + 1)
+    for x, c in zip(exps, a.nums):
+        coeffs[(x - exps[0]) // step] = u * c
+    weights = [c * n0 ** (i - 1) if i else 0 for i, c in enumerate(coeffs[:count])]
+    inv = [1]
     for n in range(1, count):
         s = 0
-        for k in range(1, min(n, len(coeffs) - 1) + 1):
-            if coeffs[k]:
-                s += coeffs[k] * inv[n - k]
-        inv.append(-s * r0)
-    nonzero = [n for n, v in enumerate(inv) if v]
-    inv_exps = [n * step - exps[0] for n in nonzero]
-    return _from_grid(a.grading, inv_exps, [Fraction(inv[n]) for n in nonzero], order)
+        for k in range(1, min(n, len(weights) - 1) + 1):
+            if weights[k]:
+                s += weights[k] * inv[n - k]
+        inv.append(-s)
+    nonzero = [n for n, j in enumerate(inv) if j]
+    nums = [u * a.den * inv[n] * n0 ** (count - 1 - n) for n in nonzero]  # over n0^count
+    return _from_grid(d, [n * step - exps[0] for n in nonzero], nums, n0**count, order)
 
 
 def substitute(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:
@@ -466,8 +473,7 @@ def substitute(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:
     f = _frac(r)
     if f <= 0:
         raise ValueError(f"substitution exponent must be positive, got {f}")
-    exps = [k * f.numerator for k in _grid_numerators(a.terms, a.grading)]
-    return _from_grid(a.grading * f.denominator, exps, [c for _, c in a.terms], a.order * f)
+    return _from_grid(a.grading * f.denominator, _times(a.exps, f.numerator), a.nums, a.den, a.order * f)
 
 
 def substitute_signed(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:
@@ -481,20 +487,15 @@ def substitute_signed(a: PuiseuxSeries, r: Rational) -> PuiseuxSeries:
     f = _frac(r)
     if f <= 0:
         raise ValueError(f"substitution exponent must be positive, got {f}")
-    if not a.terms:
-        return PuiseuxSeries(1, a.order * f, ())
-    d = a.grading
-    exps = _grid_numerators(a.terms, d)
-    lead = exps[0]
-    coefs = []
-    for k, (_, c) in zip(exps, a.terms):
+    d, lead, nums = a.grading, a.exps[0] if a.exps else 0, []
+    for k, c in zip(a.exps, a.nums):
         n, rem = divmod(k - lead, d)
         if rem:
             raise GradingError(
                 f"exponent step {Fraction(k - lead, d)} from the leading exponent is not an integer"
             )
-        coefs.append(-c if n % 2 else c)
-    return _from_grid(d * f.denominator, [k * f.numerator for k in exps], coefs, a.order * f)
+        nums.append(-c if n % 2 else c)
+    return _from_grid(d * f.denominator, _times(a.exps, f.numerator), nums, a.den, a.order * f)
 
 
 def compare(a: PuiseuxSeries, b: PuiseuxSeries, order: Rational) -> Optional[Mismatch]:
@@ -509,29 +510,30 @@ def compare(a: PuiseuxSeries, b: PuiseuxSeries, order: Rational) -> Optional[Mis
         raise InsufficientOrderError(
             f"compare to {o} exceeds certified orders ({a.order}, {b.order})"
         )
-    # Both term lists are sorted with nonzero coefficients, so the merge of
-    # their prefixes below o can walk them in step: the first pair that
-    # differs in exponent or coefficient holds the smallest disagreement.  A
-    # common sentinel at o ends the shorter prefix.
-    end = ((o, Fraction(0)),)
-    ta = a.terms[: bisect_left(a.terms, o, key=_exponent)] + end
-    tb = b.terms[: bisect_left(b.terms, o, key=_exponent)] + end
-    for (ea, ca), (eb, cb) in zip(ta, tb):
-        if ea != eb:
-            return Mismatch(ea, ca, Fraction(0)) if ea < eb else Mismatch(eb, Fraction(0), cb)
-        if ca != cb:
-            return Mismatch(ea, ca, cb)
+    grid, den = lcm(a.grading, b.grading), lcm(a.den, b.den)
+    top = _ceil(o * grid)
+    ea, eb = _times(a.exps, grid // a.grading), _times(b.exps, grid // b.grading)
+    na, nb = bisect_left(ea, top), bisect_left(eb, top)
+    ca, cb = _times(a.nums[:na], den // a.den), _times(b.nums[:nb], den // b.den)
+    # Both prefixes below o ascend with nonzero coefficients, so the first pair
+    # that differs holds the smallest disagreement; a sentinel at o ends each.
+    for ka, kb, x, y in zip([*ea[:na], top], [*eb[:nb], top], [*ca, 0], [*cb, 0]):
+        if (ka, x) != (kb, y):
+            k = min(ka, kb)
+            lhs, rhs = (x if ka == k else 0), (y if kb == k else 0)
+            return Mismatch(Fraction(k, grid), Fraction(lhs, den), Fraction(rhs, den))
     return None
 
 
-def _fmt(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _fmt(num: int, den: int) -> str:
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def to_text(a: PuiseuxSeries) -> str:
     """Serialize: header `D=<int> O=<num>/<den>`, then one `exp coef` line per term."""
-    lines = [f"D={a.grading} O={_fmt(a.order)}"]
-    lines.extend(f"{_fmt(e)} {_fmt(c)}" for e, c in a.terms)
+    lines = [f"D={a.grading} O={_fmt(a.order.numerator, a.order.denominator)}"]
+    lines.extend(f"{_fmt(k, a.grading)} {_fmt(n, a.den)}" for k, n in zip(a.exps, a.nums))
     return "\n".join(lines) + "\n"
 
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import re
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, lcm
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import bivariate as bv
@@ -34,10 +33,9 @@ from .series import (
     PuiseuxSeries,
     Rational,
     SeriesError,
-    _exponent,
     _frac,
-    _numerators,
     _parse_frac,
+    _times,
     add,
     compare,
     invert,
@@ -46,6 +44,7 @@ from .series import (
     sub,
     substitute,
     substitute_signed,
+    truncate,
 )
 
 __all__ = [
@@ -227,8 +226,8 @@ def evaluate(expr: Expr, order: Rational) -> Value:
         child = evaluate(expr.child, max(o, 1))
         if not isinstance(child, PuiseuxSeries):
             raise EvaluationError("cannot invert a two-variable series")
-        if child.terms and child.order < o + 2 * child.terms[0][0]:
-            child = evaluate(expr.child, o + 2 * child.terms[0][0])
+        if child.exps and child.order < o + 2 * child.leading_exponent:
+            child = evaluate(expr.child, o + 2 * child.leading_exponent)
         return invert(child)
     if isinstance(expr, Subst):
         child = evaluate(expr.child, o / expr.ratio)
@@ -288,7 +287,7 @@ def _negative_lead(expr: Expr) -> int:
 
 def _unit_lead(value: Value) -> int:
     """floor of a one-variable value's leading exponent when negative, else 0."""
-    return min(0, floor(value.terms[0][0])) if isinstance(value, PuiseuxSeries) and value.terms else 0
+    return min(0, value.exps[0] // value.grading) if isinstance(value, PuiseuxSeries) and value.exps else 0
 
 
 # --------------------------------------------------------------------------
@@ -533,17 +532,18 @@ def discover(series: Sequence[PuiseuxSeries], order: Rational) -> list[Relation]
             raise InsufficientOrderError(
                 f"series certified to {s.order} cannot be sampled to {o}"
             )
-    grid = lcm(*(s.grading for s in series))
-    columns = [_numerators(s.terms[: bisect_left(s.terms, o, key=_exponent)], grid) for s in series]
-    keys = sorted(set().union(*(exps for exps, _, _ in columns)))
+    cut = [truncate(s, o) for s in series]
+    grid = lcm(*(s.grading for s in cut))
+    columns = [_times(s.exps, grid // s.grading) for s in cut]
+    keys = sorted(set().union(*columns))
     if len(keys) < cols + 8:
         raise InsufficientRowsError(
             f"need at least {cols + 8} coefficient rows, have {len(keys)}"
         )
     row_of = {k: i for i, k in enumerate(keys)}
     matrix = [[0] * cols for _ in keys]
-    for j, (exps, coefs, _) in enumerate(columns):
-        for k, c in zip(exps, coefs):
+    for j, (exps, s) in enumerate(zip(columns, cut)):
+        for k, c in zip(exps, s.nums):
             matrix[row_of[k]][j] = c
     echelon, pivot_cols = _bareiss_echelon(matrix, cols)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
@@ -558,7 +558,7 @@ def discover(series: Sequence[PuiseuxSeries], order: Rational) -> list[Relation]
                 if echelon[i][c]:
                     acc += echelon[i][c] * y[c]
             y[p] = -acc / echelon[i][p]
-        relations.append(Relation(tuple(v * den for v, (_, _, den) in zip(y, columns))))
+        relations.append(Relation(tuple(v * s.den for v, s in zip(y, cut))))
     return relations
 
 

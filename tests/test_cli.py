@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qserieslab
+from qserieslab import characters, lattice, products
 from qserieslab.cli import Command, UsageError, main, parse_args
 
 
@@ -160,6 +161,40 @@ class TestVerifyAll:
         assert code == 0
         for line in out.strip().splitlines():
             assert json.loads(line)["status"] == "PASS"
+
+
+class TestNegativeOrders:
+    def test_negative_fraction_as_its_own_argument(self):
+        assert parse_args(["verify-all", "--order", "-1/2"]).order == F(-1, 2)
+
+    def test_verify_all_at_minus_one_half(self, capsys):
+        code, out, err = run(capsys, "verify-all", "--order", "-1/2")
+        assert code == 0, err
+        lines = out.strip().splitlines()
+        assert len(lines) == len(qserieslab.registry())
+        assert all(" PASS order=-1/2" in line for line in lines)
+
+
+# One name per family, the three a22 modules, and rescaled forms.
+_FAMILY_NAMES = [
+    "chi:2,5,1,2", "chi:5,6,1,3", "rr:1", "rr:2", "a22:basic", "a22:2L1", "a22:L0",
+    "w:0", "w:2/5", "w:tau1/40", "w:tau1/8", "fkw",
+    "a22:2L1@q^1/3", "a22:L0@q^2", "chi:2,5,1,1@-q^1/2", "rr:2@q^3",
+]
+
+
+@pytest.mark.parametrize("order", ["-7", "-3", "-1/2", "0", "1/3", "7/2"])
+@pytest.mark.parametrize("name", _FAMILY_NAMES)
+def test_every_family_certifies_the_requested_order(capsys, name, order):
+    # computed afresh, as in a new process: a memo could serve a truncation
+    for module in (characters, lattice, products):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    code, out, err = run(capsys, "expand", name, f"--order={order}")
+    assert code == 0, err
+    expected = F(order)
+    assert out.splitlines()[0].split()[1] == f"O={expected.numerator}/{expected.denominator}"
 
 
 class TestDiscover:

@@ -5,7 +5,7 @@ import os
 import tempfile
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from fractions import Fraction as F
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from unittest.mock import patch
 
 from hypothesis import assume, example, given, strategies as st
@@ -327,6 +327,32 @@ def test_expand_product_matches_oracle(factors, prefactor_exponent, prefactor_co
     out = expand_product(spec, order)
     assert out.order == order
     assert dict(out.terms) == product_offsets(factors, prefactor_exponent, prefactor_coefficient, order)
+
+
+@given(graded_series(), st.fractions(min_value=-7, max_value=31, max_denominator=12))
+def test_coefficient_reads_the_terms(a, e):
+    # max_denominator 12 reaches exponents off every grading 1..6
+    if e >= a.order:
+        with pytest.raises(InsufficientOrderError):
+            a.coefficient(e)
+    else:
+        assert a.coefficient(e) == dict(a.terms).get(e, 0)
+    for exponent, c in a.terms:
+        assert a.coefficient(exponent) == c
+
+
+@given(graded_series(), graded_series(), nonzero_fractions, ratios)
+def test_kernel_results_are_canonical(a, b, c, r):
+    results = [add(a, b), sub(a, b), mul(a, b), scale(a, c), substitute(a, r), truncate(a, min(a.order, b.order))]
+    if a.terms:
+        results.append(invert(a))
+    for s in results:
+        rebuilt = PuiseuxSeries(s.grading, s.order, s.terms)
+        assert s == rebuilt
+        assert hash(s) == hash(rebuilt)
+        assert gcd(s.den, *s.nums) == 1
+        assert s.grading == lcm(*(e.denominator for e, _ in s.terms))
+    assert hash(add(a, b)) == hash(add(b, a))
 
 
 @given(small_series())

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -312,3 +313,32 @@ class TestInvariants:
             PuiseuxSeries(1, F(5), ((F(2), F(0)), (F(1), F(1))))
         with pytest.raises(ValueError, match="beyond truncation order"):
             PuiseuxSeries(1, F(5), ((F(6), F(1)), (F(1), F(1))))
+
+
+class TestFields:
+    def test_integer_numerators_over_the_grading_and_one_denominator(self):
+        s = PuiseuxSeries(6, F(5), ((F(-1, 3), F(1, 2)), (F(1, 6), F(-2, 3)), (F(2), F(4))))
+        assert [f.name for f in fields(s)] == ["grading", "order", "exps", "nums", "den"]
+        assert (s.grading, s.order, s.exps, s.nums, s.den) == (6, F(5), (-2, 1, 12), (3, -4, 24), 6)
+
+    def test_den_reduced_when_a_term_cancels(self):
+        s = add(PuiseuxSeries(1, F(5), ((F(0), F(1, 2)), (F(1), F(1, 3)))), monomial(F(-1, 3), 1, 1, 5))
+        assert (s.exps, s.nums, s.den) == ((0,), (1,), 2)
+
+    def test_grading_reduced_when_a_term_cancels(self):
+        s = sub(PuiseuxSeries(6, F(5), ((F(0), F(1)), (F(1, 6), F(1)))), monomial(1, F(1, 6), 6, 5))
+        assert (s.grading, s.exps) == (1, (0,))
+
+    def test_coefficient_on_and_off_the_grid(self):
+        s = PuiseuxSeries(6, F(5), ((F(-1, 3), F(1, 2)), (F(1, 6), F(-2, 3))))
+        assert s.coefficient(F(-1, 3)) == F(1, 2)
+        assert s.coefficient(F(1, 6)) == F(-2, 3)
+        assert s.coefficient(0) == 0
+        assert s.coefficient(F(1, 4)) == 0
+        assert s.coefficient(F(-7, 2)) == 0
+
+    def test_inverse_of_a_non_unit_lead(self):
+        # 1/(2 - 3q) = 1/2 + 3/4 q + 9/8 q^2 + ...
+        s = invert(PuiseuxSeries(1, F(4), ((F(0), F(2)), (F(1), F(-3)))))
+        assert s.terms == tuple((F(k), F(3**k, 2 ** (k + 1))) for k in range(4))
+        assert s.den == 16
