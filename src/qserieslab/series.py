@@ -17,11 +17,17 @@ order, reduces the grading to the lcm of the exponent denominators and den to
 lowest terms.  The certified order is the operation's own: min(O_a, O_b) for
 add and sub, O_a + h for the prefactor shift _shift(a, h) = q^h * a, and the
 bounds stated on mul and invert.
+
+mul sums small products pair by pair and larger ones by Kronecker
+substitution: both operands packed as signed digits into one number each and
+multiplied once, as Python ints, or above _TRANSFORM_BITS as decimals in an
+exact libmpdec context, whose number-theoretic transform is faster there.
 """
 
 from __future__ import annotations
 
 import inspect
+import sys
 import threading
 from bisect import bisect_left
 from collections import OrderedDict, namedtuple
@@ -347,6 +353,18 @@ def _lead_bound(a: PuiseuxSeries) -> Fraction:
 # dictionary accumulation to Kronecker substitution on packed big integers.
 _NAIVE_LIMIT = 20_000
 
+# Above this many bits in the packed product, the Kronecker product is one
+# libmpdec multiplication in radix 10**w: its number-theoretic transform beats
+# CPython's Karatsuba int product there (break-even near 300k bits).
+_TRANSFORM_BITS = 400_000
+
+try:  # the C decimal module, libmpdec; decimal itself may be pure Python
+    from _decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+except ImportError:
+    _LIBMPDEC = None
+else:  # every result exact, or Inexact / Rounded raises
+    _LIBMPDEC = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
 
 def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     """Cauchy product, exact below min(O_a + lead(b), O_b + lead(a)).
@@ -382,24 +400,62 @@ def _kronecker_mul(
     ea: Sequence[int], eb: Sequence[int], ca: Sequence[int], cb: Sequence[int], top: int
 ) -> tuple[list[int], list[int]]:
     """The product's exponent and coefficient numerators below `top`, from
-    the operands' on one grid, via one packed big-integer multiplication.
+    the operands' on one grid, via one packed multiplication.
 
     Both operands are laid out densely on their common exponent stride and
     packed as little-endian signed digits of a width that holds every
-    coefficient of the product; Python's native big-int product then does
-    the convolution.
+    coefficient of the product, so one multiplication of the packed operands
+    does the convolution.  Up to _TRANSFORM_BITS product bits that is
+    Python's int product on digits of whole bytes; above it, libmpdec's
+    exact transform product on digits of w decimal places (_transform_mul),
+    unless decimal is pure Python or a digit could not pass through str.
     """
     base_a, base_b = ea[0], eb[0]
     g = gcd(*(e - base_a for e in ea), *(e - base_b for e in eb)) or 1  # 0 for two monomials
     ia = _dense(ea, ca, g)
     ib = _dense(eb, cb, g)
     bound = max(map(abs, ca)) * max(map(abs, cb)) * min(len(ia), len(ib)) + 1
-    nbytes = (bound.bit_length() + 9) // 8
+    bits = bound.bit_length()
+    size = len(ia) + len(ib) - 1
     base = base_a + base_b
-    count = min(len(ia) + len(ib) - 1, -((base - top) // g))
-    digits = _unpack(_pack(ia, nbytes) * _pack(ib, nbytes), nbytes, count)
+    count = min(size, -((base - top) // g))
+    w = -(-bits * 30103 // 100_000) + 1  # 10**(w-1) >= 2**bits > bound, as 0.30103 > log10(2)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (none before 3.10.7)
+    if _LIBMPDEC is not None and size * bits > _TRANSFORM_BITS and not 0 < limit < w:
+        digits = _transform_mul(ia, ib, w, size, count)
+    else:
+        nbytes = (bits + 9) // 8
+        digits = _unpack(_pack(ia, nbytes) * _pack(ib, nbytes), nbytes, count)
     nonzero = [i for i, v in enumerate(digits) if v]
     return [base + i * g for i in nonzero], [digits[i] for i in nonzero]
+
+
+def _transform_mul(ia: list[int], ib: list[int], w: int, size: int, count: int) -> list[int]:
+    """The lowest `count` of the `size` digits of the product of the digit
+    lists ia and ib in radix 10**w, each digit below half = 5 * 10**(w-1) in
+    absolute value, through one libmpdec multiplication in the exact context.
+
+    Adding half to every digit of the product makes all of them nonnegative
+    with no borrows, as in _unpack, so they are read off the decimal string,
+    w places each; no decimal division cuts off the high digits.
+    """
+    total = _LIBMPDEC.multiply(_decimal_pack(ia, w), _decimal_pack(ib, w))
+    total = _LIBMPDEC.add(total, Decimal(("5" + "0" * (w - 1)) * size))
+    n = count * w
+    low = str(total)[-n:].zfill(n)
+    del total
+    half = 5 * 10 ** (w - 1)
+    return [int(low[j - w : j]) - half for j in range(n, 0, -w)]
+
+
+def _decimal_pack(vals: list[int], w: int) -> Decimal:
+    """sum(v * 10**(w*i)) for digits v of fewer than w decimal places."""
+    zeros = "0" * w
+    pos = Decimal("".join([str(v).zfill(w) if v > 0 else zeros for v in reversed(vals)]))
+    if min(vals) >= 0:
+        return pos
+    neg = Decimal("".join([str(-v).zfill(w) if v < 0 else zeros for v in reversed(vals)]))
+    return _LIBMPDEC.subtract(pos, neg)
 
 
 def _dense(exps: Sequence[int], coefs: Sequence[int], g: int) -> list[int]:

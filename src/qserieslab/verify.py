@@ -28,6 +28,7 @@ from .characters import _NAME_RE, named_series
 from .lattice import ThetaBranch, ThetaSumSpec, theta_sum
 from .products import ProductFactor, ProductSpec, expand_product
 from .series import (
+    EmptySeriesError,
     InsufficientOrderError,
     Mismatch,
     PuiseuxSeries,
@@ -194,11 +195,12 @@ def evaluate(expr: Expr, order: Rational) -> Value:
     min(O_a + lead(b), O_b + lead(a)) reaches o (an empty factor's lead is
     bounded by 0); when a probe raised, it asks once more with the leads
     the factors showed.  An inversion asks for max(o, 1), to see a lead h
-    below 1, then for o + 2h.  A specialization widens the window of every
-    two-variable leaf under it, through sums and differences, to the
-    smallest symmetric one (never narrower) whose excluded layers reach o,
-    by the floor of an order-0 probe, and asks for (o - edge*w)/r.  Without
-    a floor it raises InsufficientWindowError.
+    below 1 (EmptySeriesError if it shows no term), then for o + 2h.  A
+    specialization widens the window of every two-variable leaf under it,
+    through sums and differences, to the smallest symmetric one (never
+    narrower) whose excluded layers reach o, by the floor of an order-0
+    probe, and asks for (o - edge*w)/r.  Without a floor it raises
+    InsufficientWindowError.
     """
     o = _frac(order)
     if isinstance(expr, Name):
@@ -223,10 +225,13 @@ def evaluate(expr: Expr, order: Rational) -> Value:
             product = mul(left, rhs)
         return product
     if isinstance(expr, Inv):
-        child = evaluate(expr.child, max(o, 1))
+        request = max(o, 1)
+        child = evaluate(expr.child, request)
         if not isinstance(child, PuiseuxSeries):
             raise EvaluationError("cannot invert a two-variable series")
-        if child.exps and child.order < o + 2 * child.leading_exponent:
+        if not child.exps:
+            raise EmptySeriesError(f"cannot invert: no term found below q^{request}")
+        if child.order < o + 2 * child.leading_exponent:
             child = evaluate(expr.child, o + 2 * child.leading_exponent)
         return invert(child)
     if isinstance(expr, Subst):

@@ -268,6 +268,14 @@ class TestMainUsage:
         assert not out
         assert len(err.splitlines()) == 1
 
+    def test_inverse_with_no_term_below_its_request_is_not_called_zero(self, capsys, tmp_path):
+        # inv asks mono(1,3) for q^2, below its only term; the series is not zero
+        path = tmp_path / "inv.registry"
+        path.write_text("X | 1 | inv(mono(1,3)) * mono(1,3) | mono(1,0)\n")
+        code, out, err = run(capsys, "verify-all", "--registry", str(path), "--order", "2")
+        assert (code, out, err) == (2, "", "error: cannot invert: no term found below q^2\n")
+        assert run(capsys, "verify-all", "--registry", str(path), "--order", "10")[0] == 0
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -181,6 +181,14 @@ def assert_matches_oracle(product: PuiseuxSeries, a: PuiseuxSeries, b: PuiseuxSe
     assert product.grading == lcm(*(e.denominator for e, _ in product.terms))
 
 
+# The threshold patches that send every product of nonzero operands through
+# one of mul's packed kernels: big ints, or decimals through libmpdec.
+PACKED_KERNELS = {
+    "binary": {"_NAIVE_LIMIT": 0, "_TRANSFORM_BITS": float("inf")},
+    "transform": {"_NAIVE_LIMIT": 0, "_TRANSFORM_BITS": 0},
+}
+
+
 @given(
     st.one_of(
         st.tuples(small_series(), small_series()),
@@ -188,10 +196,10 @@ def assert_matches_oracle(product: PuiseuxSeries, a: PuiseuxSeries, b: PuiseuxSe
     )
 )
 def test_kronecker_mul_matches_dict_oracle(pair):
-    # with no naive budget every product of nonzero operands takes the packed path
     a, b = pair
-    with patch.object(series, "_NAIVE_LIMIT", 0):
-        assert_matches_oracle(mul(a, b), a, b)
+    for thresholds in PACKED_KERNELS.values():
+        with patch.multiple(series, **thresholds):
+            assert_matches_oracle(mul(a, b), a, b)
 
 
 @given(small_series(), small_series())
@@ -662,15 +670,15 @@ def assert_continues(result: PuiseuxSeries, continued_result: PuiseuxSeries) -> 
 _EMPTY_AT_MINUS_3 = (zero(-3), PuiseuxSeries(1, F(-2), ((F(-3), F(1)),)))
 
 
-@given(continued(), continued(), st.booleans())
-@example(_EMPTY_AT_MINUS_3, _EMPTY_AT_MINUS_3, False)
-@example(_EMPTY_AT_MINUS_3, _EMPTY_AT_MINUS_3, True)
+@given(continued(), continued(), st.sampled_from([None, *PACKED_KERNELS]))
+@example(_EMPTY_AT_MINUS_3, _EMPTY_AT_MINUS_3, None)
+@example(_EMPTY_AT_MINUS_3, _EMPTY_AT_MINUS_3, "binary")
+@example(_EMPTY_AT_MINUS_3, _EMPTY_AT_MINUS_3, "transform")
 def test_sums_and_products_hold_on_continuations(x, y, packed):
     (a, a2), (b, b2) = x, y
     assert_continues(add(a, b), add(a2, b2))
     assert_continues(sub(a, b), sub(a2, b2))
-    # with no naive budget every product of nonzero operands takes the packed path
-    with patch.object(series, "_NAIVE_LIMIT", 0) if packed else nullcontext():
+    with patch.multiple(series, **PACKED_KERNELS[packed]) if packed else nullcontext():
         assert_continues(mul(a, b), mul(a2, b2))
 
 

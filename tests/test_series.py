@@ -1,5 +1,7 @@
+import sys
 from dataclasses import fields
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 
@@ -25,6 +27,7 @@ from qserieslab import (
     truncate,
     zero,
 )
+from qserieslab import series
 from qserieslab.products import euler_phi
 from qserieslab.series import _shift
 from oracles import dict_mul, partition_counts
@@ -141,6 +144,74 @@ class TestMul:
         prod = mul(inv, inv)
         expect = dict_mul(dict(inv.terms), dict(inv.terms), prod.order)
         assert dict(prod.terms) == expect
+
+
+def _polynomial(coefs, order):
+    """sum(c * q^i for i, c in enumerate(coefs)) on the integer grid."""
+    return PuiseuxSeries(1, order, tuple((F(i), F(c)) for i, c in enumerate(coefs) if c))
+
+
+class TestTransformMul:
+    """The Kronecker product through libmpdec, which every product of nonzero
+    operands takes with both thresholds at 0, against the dict oracle."""
+
+    @staticmethod
+    def transform_product(a, b, expect_transform=True):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return transform_mul(*args)
+
+        transform_mul = series._transform_mul
+        with patch.multiple(series, _NAIVE_LIMIT=0, _TRANSFORM_BITS=0, _transform_mul=spy):
+            prod = mul(a, b)
+        assert len(calls) == (1 if expect_transform else 0)
+        assert dict(prod.terms) == dict_mul(dict(a.terms), dict(b.terms), prod.order)
+        return prod
+
+    def test_all_negative_digits(self):
+        a = _polynomial([-(i % 7) - 1 for i in range(40)], 40)
+        b = _polynomial([-3 * i - 2 for i in range(30)], 40)
+        prod = self.transform_product(a, b)
+        assert all(c > 0 for _, c in prod.terms)
+        assert all(c < 0 for _, c in self.transform_product(a, scale(b, -1)).terms)
+
+    def test_mixed_signs(self):
+        a = _polynomial([(-1) ** i * (i + 1) ** 3 for i in range(50)], 50)
+        b = _polynomial([(i * 7919) % 101 - 50 for i in range(45)], 50)
+        self.transform_product(a, b)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_widest_digit(self, sign):
+        # n equal coefficients c and c' make the middle digit n*c*c' = bound - 1,
+        # the widest the packing allows
+        n, c = 64, 10**40 - 1
+        a, b = _polynomial([c] * n, 2 * n), _polynomial([sign * c] * n, 2 * n)
+        prod = self.transform_product(a, b)
+        assert prod.coefficient(n - 1) == sign * n * c * c
+
+    def test_python_decimal_takes_the_binary_path(self):
+        a = _polynomial([(-1) ** i * (i + 1) for i in range(40)], 40)
+        b = _polynomial([i * i - 20 for i in range(40)], 40)
+        transformed = self.transform_product(a, b)
+        with patch.object(series, "_LIBMPDEC", None):
+            assert self.transform_product(a, b, expect_transform=False) == transformed
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+    def test_digits_past_the_str_limit_take_the_binary_path(self):
+        # coefficients near 10**5000 make digits longer than the 4300-digit limit
+        # on int <-> str, which the transform path reads through str
+        a = _polynomial([10**5000 - 7 * i for i in range(30)], 30)
+        b = _polynomial([(-1) ** i * (10**5000 + i) for i in range(30)], 30)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            binary = self.transform_product(a, b, expect_transform=False)
+            sys.set_int_max_str_digits(0)
+            assert self.transform_product(a, b) == binary
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestInvert:
