@@ -38,6 +38,10 @@ NAMES = (
     "a22:L0",
 )
 ORDERS = (F(50), F(200), F(37, 6))
+# Product-heavy and theta-heavy families again at a depth where every product
+# family runs through many levels of its expansion.
+DEEP = ("rr:1", "rr:2", "a22:basic", "a22:2L1", "a22:L0", "chi:5,6,1,1", "fkw")
+CASES = (*((n, o) for n in NAMES for o in ORDERS), *((n, F(1000)) for n in DEEP))
 
 GOLDENS = Path(__file__).with_name("text_goldens.json")
 
@@ -50,12 +54,11 @@ def _digest(name: str, order: F) -> str:
     return hashlib.sha256(to_text(named_series(name, order)).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=str)
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name,order", CASES, ids=lambda v: str(v))
 def test_text_matches_golden(name, order):
     goldens = json.loads(GOLDENS.read_text())
     assert _digest(name, order) == goldens[_key(name, order)]
 
 
 if __name__ == "__main__":
-    print(json.dumps({_key(n, o): _digest(n, o) for n in NAMES for o in ORDERS}, indent=1))
+    print(json.dumps({_key(n, o): _digest(n, o) for n, o in CASES}, indent=1))

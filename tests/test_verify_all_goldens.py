@@ -19,7 +19,7 @@ import pytest
 
 from qserieslab.cli import main
 
-ORDERS = ("50", "200", "600")
+ORDERS = ("50", "200", "600", "1000")
 
 GOLDENS = Path(__file__).with_name("verify_all_goldens.json")
 
