@@ -2,14 +2,24 @@
 
 A product is a finite list of arithmetic-progression factor families
 (1 - s*q^(a+d*n))^p for n = 0, 1, 2, ... together with a monomial prefactor.
-Because a > 0 and d > 0, only finitely many factor instances differ from 1
-below any truncation order, so expansions are exact.
+With x the common root of every exponent and z = s*x^a, Q = x^d, a family is
+(z; Q)_inf^p, and each power of it is applied as one q-binomial sum
+(Andrews, The Theory of Partitions, ch. 2):
+
+    Euler:   (z; Q)_inf   = sum_n (-z)^n Q^(n(n-1)/2) / (Q; Q)_n
+    Cauchy:  1/(z; Q)_inf = sum_n z^n Q^(n(n-1)) / ((Q; Q)_n (z; Q)_n)
+
+The n-th term leads at x^E_n, E_n = n*a + d*n(n-1)/2 for Euler's sum and
+n*a + d*n(n-1) for Cauchy's.  Below a cutoff of N grid steps only the terms
+with E_n < N contribute, O(sqrt(N)) of them, each a power series in x with
+integer coefficients, so expansions are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import add, sub
 
@@ -38,6 +48,8 @@ class ProductFactor:
             raise ValueError(f"factor sign must be +1 or -1, got {self.sign}")
         if self.start <= 0 or self.step <= 0:
             raise ValueError("factor start and step must be positive")
+        if not isinstance(self.power, int) or isinstance(self.power, bool):
+            raise ValueError(f"factor power must be an integer, got {self.power!r}")
         if self.power == 0:
             raise ValueError("factor power must be nonzero")
 
@@ -58,10 +70,25 @@ class ProductSpec:
 def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
     """Exact expansion of the product mod q^order.
 
-    A factor instance is skipped exactly when its lowest exponent reaches
-    order - prefactor_exponent; skipped factors are 1 on the retained range.
-    Reciprocal factors are expanded as geometric series (running prefix sums
-    along a stride) rather than by long division at the end.
+    A family whose start reaches the cutoff, order - prefactor_exponent, is
+    skipped: each of its instances is 1 below it.  Every other family, on the
+    grid x of the active exponents with z = s*x^a and Q = x^d, multiplies the
+    dense coefficient list f once per unit of |power| by Euler's sum
+    (z; Q)_inf = sum_n (-z)^n Q^(n(n-1)/2) / (Q; Q)_n when power > 0, or by
+    Cauchy's sum 1/(z; Q)_inf = sum_n z^n Q^(n(n-1)) / ((Q; Q)_n (z; Q)_n)
+    when power < 0, in Horner form, deepest level first:
+
+        f * sum_n T_n = f + r_1 (f + r_2 (f + ... + r_L f)),  r_n = T_n / T_(n-1)
+
+    T_n leads at x^E_n, E_n = n*a + d*n(n-1)/2 (Euler) or n*a + d*n(n-1)
+    (Cauchy), so L, the last n with E_n below the cutoff, is about the square
+    root of the cutoff in grid steps, and level n is kept only below
+    cutoff - E_n, since the r's applied outside it shift it up by E_n.  r_n
+    is a monomial over (1 - Q^n), times 1/(1 - z Q^(n-1)) for Cauchy's sum;
+    each division by (1 - s*x^m) is a running sum along stride m.  Every step
+    is integer arithmetic on power series cut at the cutoff, and the terms
+    past L lead at or above it, so the result is exact below `order`, the
+    order it certifies.
     """
     o = _frac(order)
     cutoff = o - spec.prefactor_exponent
@@ -70,23 +97,12 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
 
     grid = _grid(spec, cutoff)
     size = _ceil(cutoff * grid)
-    coeffs = [0] * size
-    coeffs[0] = 1
+    coeffs = [1] + [0] * (size - 1)
     for fac in spec.factors:
         if fac.start >= cutoff:
             continue
-        for stride in range(int(fac.start * grid), size, int(fac.step * grid)):
-            for _ in range(abs(fac.power)):
-                if fac.power > 0:
-                    # multiply by (1 - s*q^e): subtract the shifted copy
-                    op = sub if fac.sign == 1 else add
-                    coeffs[stride:] = map(op, coeffs[stride:], coeffs[: size - stride])
-                else:
-                    # multiply by sum_j (s*q^e)^j: prefix sums along the stride,
-                    # one block at a time, each reading the updated block below
-                    op = add if fac.sign == 1 else sub
-                    for i in range(stride, size, stride):
-                        coeffs[i : i + stride] = map(op, coeffs[i : i + stride], coeffs[i - stride : i])
+        for _ in range(abs(fac.power)):
+            coeffs = _times_family(coeffs, fac.sign, int(fac.start * grid), int(fac.step * grid), fac.power > 0)
     pe = spec.prefactor_exponent
     out_grid = lcm(grid, pe.denominator)
     base = pe.numerator * (out_grid // pe.denominator)
@@ -95,6 +111,44 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
     nonzero = [i for i, c in enumerate(coeffs) if c]
     exps = [base + i * unit for i in nonzero]
     return _from_grid(out_grid, exps, [coeffs[i] * num for i in nonzero], den, o)
+
+
+def _times_family(f: list[int], s: int, a: int, d: int, euler: bool) -> list[int]:
+    """f * (s*x^a; x^d)_inf below len(f) by Euler's sum, or f / (s*x^a; x^d)_inf
+    by Cauchy's sum, as in expand_product; a < len(f)."""
+    size = len(f)
+    k = 1 if euler else 2  # E_n - E_(n-1) = a + k*d*(n-1)
+    n = top = 0
+    while top + a + k * d * n < size:
+        top += a + k * d * n
+        n += 1
+    # r_n's sign: -s for Euler's sum, s for Cauchy's
+    op = add if (s == 1) != euler else sub
+    h = f[: size - top]
+    for n in range(n, 0, -1):
+        _divide(h, d * n, 1)
+        if not euler:
+            _divide(h, a + d * (n - 1), s)
+        gap = a + k * d * (n - 1)
+        top -= gap
+        h = f[:gap] + list(map(op, f[gap : size - top], h))
+    return h
+
+
+def _divide(h: list[int], m: int, s: int) -> None:
+    """h <- h / (1 - s*x^m) below len(h), in place."""
+    if s == -1:
+        # 1/(1 + x^m) = (1 - x^m) / (1 - x^(2m))
+        h[m:] = map(sub, h[m:], h)
+        m *= 2
+    if m * m < len(h):
+        # few long strides: one running sum per residue class
+        for r in range(m):
+            h[r::m] = accumulate(h[r::m])
+    else:
+        # many short strides: one block at a time, each reading the updated block below
+        for i in range(m, len(h), m):
+            h[i : i + m] = map(add, h[i : i + m], h[i - m : i])
 
 
 def _grid(spec: ProductSpec, cutoff: Fraction) -> int:
