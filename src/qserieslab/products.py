@@ -48,7 +48,7 @@ class ProductFactor:
             raise ValueError(f"factor sign must be +1 or -1, got {self.sign}")
         if self.start <= 0 or self.step <= 0:
             raise ValueError("factor start and step must be positive")
-        if not isinstance(self.power, int) or isinstance(self.power, bool):
+        if not isinstance(self.power, int):
             raise ValueError(f"factor power must be an integer, got {self.power!r}")
         if self.power == 0:
             raise ValueError("factor power must be nonzero")
@@ -97,7 +97,8 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
 
     grid = _grid(spec, cutoff)
     size = _ceil(cutoff * grid)
-    coeffs = [1] + [0] * (size - 1)
+    coeffs = [0] * size
+    coeffs[0] = 1
     for fac in spec.factors:
         if fac.start >= cutoff:
             continue
@@ -118,14 +119,14 @@ def _times_family(f: list[int], s: int, a: int, d: int, euler: bool) -> list[int
     by Cauchy's sum, as in expand_product; a < len(f)."""
     size = len(f)
     k = 1 if euler else 2  # E_n - E_(n-1) = a + k*d*(n-1)
-    n = top = 0
-    while top + a + k * d * n < size:
-        top += a + k * d * n
-        n += 1
+    levels = top = 0
+    while top + a + k * d * levels < size:
+        top += a + k * d * levels
+        levels += 1
     # r_n's sign: -s for Euler's sum, s for Cauchy's
     op = add if (s == 1) != euler else sub
     h = f[: size - top]
-    for n in range(n, 0, -1):
+    for n in range(levels, 0, -1):
         _divide(h, d * n, 1)
         if not euler:
             _divide(h, a + d * (n - 1), s)

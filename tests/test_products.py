@@ -23,6 +23,9 @@ class TestEulerPhi:
     def test_matches_pentagonal_sum_to_200(self):
         assert {int(e): int(c) for e, c in euler_phi(F(200)).terms} == pentagonal_sum(200)
 
+    def test_matches_pentagonal_sum_to_1000(self):
+        assert {int(e): int(c) for e, c in euler_phi(F(1000)).terms} == pentagonal_sum(1000)
+
     def test_trivial_order(self):
         assert euler_phi(F(1)).terms == ((F(0), F(1)),)
 
@@ -53,6 +56,10 @@ class TestExpandProduct:
             counts[n] = sum(a[i] * b[n - i] for i in range(n + 1))
         assert [out.coefficient(n) for n in range(5)] == counts
         assert counts == [1, 0, 1, 2, 3]
+
+    def test_reciprocal_phi_matches_partition_counts_to_1000(self):
+        out = expand_product(ProductSpec((ProductFactor(1, 1, 1, -1),)), F(1000))
+        assert [out.coefficient(n) for n in range(1000)] == partition_counts(list(range(1, 1000)), 999)
 
     def test_empty_spec_is_prefactor(self):
         spec = ProductSpec((), F(1, 2), F(3))
@@ -104,3 +111,8 @@ class TestValidation:
     def test_zero_power(self):
         with pytest.raises(ValueError):
             ProductFactor(1, 1, 1, 0)
+
+    @pytest.mark.parametrize("power", [2.0, F(1, 2)])
+    def test_non_integer_power(self, power):
+        with pytest.raises(ValueError, match="integer"):
+            ProductFactor(1, 1, 1, power)

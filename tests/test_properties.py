@@ -330,6 +330,12 @@ product_factors = st.tuples(
 )
 # 1/(1+q^(3/2))^2 below q^(13/2): 13 half-steps end every stride in a partial block
 @example([(-1, F(3, 2), F(1), -2)], F(0), F(1), F(13, 2))
+# Squared families of each kind and sign, 5 or 4 Horner levels each (40 half-steps):
+# long strides run per residue class, short ones by blocks, some ending mid-block
+@example([(1, 1, 1, 2), (-1, F(1, 2), 1, -2)], F(0), F(1), F(20))
+@example([(-1, 1, 1, 2), (1, F(1, 2), 1, -2)], F(1, 3), F(-2), F(61, 3))
+# 1/(q;q)_inf below q^17: the last level leads at q^16 and keeps one coefficient
+@example([(1, 1, 1, -1)], F(0), F(1), F(17))
 def test_expand_product_matches_oracle(factors, prefactor_exponent, prefactor_coefficient, order):
     spec = ProductSpec(tuple(ProductFactor(*f) for f in factors), prefactor_exponent, prefactor_coefficient)
     out = expand_product(spec, order)
