@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Iterable, Mapping, Optional
 
+from .products import _times_family
 from .series import (
     InsufficientOrderError,
     Mismatch,
@@ -174,59 +176,43 @@ def quintuple_rhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
     """Product side of the quintuple product identity.
 
     (1+z) * prod over n >= 1 of (1-q^(2n)) (1-q^(4n-2)z^2) (1-q^(4n-2)z^-2)
-    (1+q^(2n)z) (1+q^(2n)z^-1), expanded with factors in ascending q-exponent
-    order.  Every q-exponent is an integer, so truncation compares plain ints
-    against ceil(order).  Each factor updates the z-layers in place, reading
-    every source layer before it is written: for a positive z-shift the
-    sources are walked in descending z, for a negative one ascending, and a
-    z-shift of 0 reads a copy of the layer it writes.  Layers that cancel
-    to zero are dropped.  Intermediate layers are never clipped (the
-    q-truncation already bounds how far mass can travel in z); the final
-    result is clipped to the requested window.  The floor metadata is the
-    identity's layer support.
+    (1+q^(2n)z) (1+q^(2n)z^-1), below q^top, top = ceil(order).  Kronecker
+    substitution q -> x^W, z -> x sends q^e z^k to x^(eW+k) and each of the
+    five progressions to one factor family in x, which products._times_family
+    applies by Euler's sum to one dense list f, starting from 1 + z = 1 + x.
+
+    Bound on |k|: a term takes 1 or z from the prefactor and i net factors
+    z^(+-2) of one sign, costing at least 2 + 6 + ... + (4i-2) = 2i^2, and j
+    net factors z^(+-1), costing at least 2 + 4 + ... + 2j = j(j+1); so
+    |k| <= 1 + 2i + j with 2i^2 + j(j+1) <= e.  K is the largest such |k| over
+    e <= top, and W = 2K + 1.
+
+    Decoding: f is kept below L = top*W - K.  A term with e < top has
+    |k| <= K, so it lands below L, and since W > 2K, x^(eW+k) is the e-th
+    entry of layer k's stride-W slice of f and of no other term's.  A term
+    with e = top + t lands at or above L: at t = 0 because k >= -K; past it,
+    dropping a net factor lowers 2i^2 + j(j+1) by at least 2 and 2i + j by
+    at most 2, so |k| <= K + t + 1 and eW + k >= L + 2Kt - 1 >= L.  The
+    layers are exact below the order, which they certify; the result is
+    clipped to the window, and its floor metadata is the identity's layer
+    support.
     """
     o = _frac(q_order)
     top = _ceil(o)
+    if top <= 0:
+        return bivariate_from_layers({}, window, o, QUINTUPLE_FLOOR)
+    K = 1 + max(2 * i + (isqrt(4 * (top - 2 * i * i) + 1) - 1) // 2 for i in range(isqrt(top // 2) + 1))
+    W = 2 * K + 1
+    f = [1, 1] + [0] * (top * W - K - 2)
+    # (1 - s*q^(e + step*n)*z^dz) for n >= 0, as (1 - s*x^(eW + dz + step*W*n))
+    for s, e, dz, step in ((1, 2, 0, 2), (-1, 2, 1, 2), (-1, 2, -1, 2), (1, 2, 2, 4), (1, 2, -2, 4)):
+        f = _times_family(f, s, e * W + dz, step * W, True)
     zmin, zmax = window
-    factors: list[tuple[int, int, int]] = []  # (q-exponent, z-shift, sign)
-    n = 1
-    while 2 * n < o:
-        factors.append((2 * n, 0, -1))
-        factors.append((2 * n, 1, 1))
-        factors.append((2 * n, -1, 1))
-        n += 1
-    n = 1
-    while 4 * n - 2 < o:
-        factors.append((4 * n - 2, 2, -1))
-        factors.append((4 * n - 2, -2, -1))
-        n += 1
-    factors.sort()
-    state: dict[int, dict[int, int]] = {0: {0: 1}, 1: {0: 1}}  # the (1+z) prefactor
-    for q_exp, z_shift, sign in factors:
-        lim = top - q_exp
-        for k in sorted(state, reverse=z_shift > 0):
-            dest = k + z_shift
-            target = state.get(dest, {})
-            source = state[k].items()
-            if z_shift == 0:  # source and target are one layer: read a copy
-                source = list(source)
-            for e, c in source:
-                if e < lim:
-                    e += q_exp
-                    val = target.get(e, 0) + sign * c
-                    if val:
-                        target[e] = val
-                    else:
-                        del target[e]
-            if target:
-                state[dest] = target
-            else:
-                state.pop(dest, None)
     layers = {}
-    for k, layer in state.items():
-        if zmin <= k <= zmax:
-            exps = sorted(layer)
-            layers[k] = _from_grid(1, exps, [layer[e] for e in exps], 1, o)
+    for k in range(max(zmin, -K), min(zmax, K) + 1):
+        column = f[k % W :: W]  # e = 0, 1, ... for k >= 0 and e = 1, 2, ... for k < 0
+        exps = [e for e, c in enumerate(column, -(k // W)) if c]
+        layers[k] = _from_grid(1, exps, [c for c in column if c], 1, o)
     return bivariate_from_layers(layers, window, o, QUINTUPLE_FLOOR)
 
 

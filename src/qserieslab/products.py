@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import lcm
 from operator import add, sub
 
@@ -116,7 +116,7 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
 
 def _times_family(f: list[int], s: int, a: int, d: int, euler: bool) -> list[int]:
     """f * (s*x^a; x^d)_inf below len(f) by Euler's sum, or f / (s*x^a; x^d)_inf
-    by Cauchy's sum, as in expand_product; a < len(f)."""
+    by Cauchy's sum, as in expand_product; a copy of f when a >= len(f)."""
     size = len(f)
     k = 1 if euler else 2  # E_n - E_(n-1) = a + k*d*(n-1)
     levels = top = 0
@@ -132,7 +132,8 @@ def _times_family(f: list[int], s: int, a: int, d: int, euler: bool) -> list[int
             _divide(h, a + d * (n - 1), s)
         gap = a + k * d * (n - 1)
         top -= gap
-        h = f[:gap] + list(map(op, f[gap : size - top], h))
+        inner, h = h, f[:gap]
+        h.extend(map(op, islice(f, gap, size - top), inner))
     return h
 
 
@@ -140,7 +141,7 @@ def _divide(h: list[int], m: int, s: int) -> None:
     """h <- h / (1 - s*x^m) below len(h), in place."""
     if s == -1:
         # 1/(1 + x^m) = (1 - x^m) / (1 - x^(2m))
-        h[m:] = map(sub, h[m:], h)
+        h[m:] = map(sub, islice(h, m, None), h)
         m *= 2
     if m * m < len(h):
         # few long strides: one running sum per residue class

@@ -278,7 +278,8 @@ def fkw_offsets(steps: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _quintuple_product(order: Fraction) -> tuple[tuple[tuple[int, int], int], ...]:
-    poly = {(0, 0): 1, (1, 0): 1}  # (z-exponent, q-exponent) -> coefficient
+    # (z-exponent, q-exponent) -> coefficient, from the (1+z) prefactor cut at the order
+    poly = {(0, 0): 1, (1, 0): 1} if order > 0 else {}
     n = 1
     while 2 * n < order:
         a, b = 2 * n, 4 * n - 2

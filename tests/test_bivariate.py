@@ -77,8 +77,12 @@ class TestQuintupleRHS:
 
 
 class TestQuintupleRHSOracle:
-    @pytest.mark.parametrize("window", [(-6, 6), (-25, 25), (-3, 10)])
-    @pytest.mark.parametrize("order", [F(8), F(37, 2), F(1308, 5), F(240)])
+    # (-60, 60) is wider than the support at 240, so a layer aliased past the
+    # z-bound shows; orders <= 0 have no terms at all
+    @pytest.mark.parametrize("window", [(-6, 6), (-25, 25), (-3, 10), (-60, 60), (5, 9), (-9, -5)])
+    @pytest.mark.parametrize(
+        "order", [F(8), F(37, 2), F(1308, 5), F(240), F(0), F(-2), F(1, 2), F(1), F(2), F(3)]
+    )
     def test_matches_brute_force_product(self, order, window):
         rhs = quintuple_rhs(order, window)
         assert (rhs.order, rhs.zmin, rhs.zmax) == (order, *window)

@@ -50,6 +50,7 @@ from qserieslab.bivariate import (
     QUINTUPLE_FLOOR,
     add_bivariate,
     bivariate_from_layers,
+    quintuple_rhs,
     sub_bivariate,
 )
 from qserieslab.verify import _bareiss_echelon, evaluate, parse_expression, registry
@@ -65,6 +66,7 @@ from oracles import (
     fraction_nullspace,
     pentagonal_sum,
     product_offsets,
+    quintuple_product_layers,
     theta_enumeration,
 )
 
@@ -314,6 +316,24 @@ def test_bivariate_add_sub_match_dict_oracle(pair):
     assert add_bivariate(a, b) == dict_combine_bivariate(a, b, 1)
     assert sub_bivariate(a, b) == dict_combine_bivariate(a, b, -1)
     assert sub_bivariate(a, a) == dict_combine_bivariate(a, a, -1)
+
+
+@st.composite
+def quintuple_cases(draw):
+    """An order p/q in (-3, 120], q <= 6, drawn as a denominator and then a
+    numerator, and a window inside [-40, 40]."""
+    q = draw(st.integers(1, 6))
+    order = F(draw(st.integers(1 - 3 * q, 120 * q)), q)
+    zmin = draw(st.integers(-40, 40))
+    return order, (zmin, draw(st.integers(zmin, 40)))
+
+
+@given(quintuple_cases())
+def test_quintuple_rhs_matches_brute_force_product(case):
+    order, window = case
+    rhs = quintuple_rhs(order, window)
+    assert (rhs.order, rhs.zmin, rhs.zmax) == (order, *window)
+    assert {k: dict(layer.terms) for k, layer in rhs.layers} == quintuple_product_layers(order, window)
 
 
 factor_fractions = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)

@@ -333,7 +333,7 @@ class TestTextFormat:
 
 
 class TestInvariants:
-    """Every check in PuiseuxSeries.__post_init__ raises its own error."""
+    """Every check in PuiseuxSeries.__init__ raises its own error."""
 
     def test_canonical_series_accepted(self):
         s = PuiseuxSeries(6, F(5), ((F(-7, 3), F(2)), (F(-1, 6), F(-1, 2)), (F(0), 1), (F(29, 6), F(3))))
