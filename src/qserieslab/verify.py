@@ -8,7 +8,7 @@ that order.  A PASS is never reported beyond the certified order.
 
 discover() finds the exact rational nullspace of the coefficient matrix of a
 family of series (rows are exponents in the union of supports, columns are
-the series) by fraction-free Gaussian elimination on column-scaled integer
+the series) by fraction-free elimination on primitive, column-scaled integer
 rows.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from . import bivariate as bv
@@ -524,6 +524,8 @@ def discover(series: Sequence[PuiseuxSeries], order: Rational) -> list[Relation]
     holds the coefficients of series j times their common denominator den_j,
     and rows are keyed by exponent numerators over the lcm of the gradings.
     A nullspace vector y of that matrix gives the relation x_j = y_j * den_j.
+    Series relate only within one class of exponents mod 1, so the matrix is
+    block-diagonal and _echelon() touches only the rows a pivot reaches.
     An empty list means the sampled rows have full column rank.  Evidence is
     truncation-level only: a relation found at order O is not a proven
     identity.
@@ -550,7 +552,7 @@ def discover(series: Sequence[PuiseuxSeries], order: Rational) -> list[Relation]
     for j, (exps, s) in enumerate(zip(columns, cut)):
         for k, c in zip(exps, s.nums):
             matrix[row_of[k]][j] = c
-    echelon, pivot_cols = _bareiss_echelon(matrix, cols)
+    echelon, pivot_cols = _echelon(matrix, cols)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     relations = []
     for f in free_cols:
@@ -567,17 +569,16 @@ def discover(series: Sequence[PuiseuxSeries], order: Rational) -> list[Relation]
     return relations
 
 
-def _bareiss_echelon(matrix: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination; returns pivot rows and pivot columns.
+def _echelon(matrix: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Forward elimination on primitive integer rows; returns pivot rows and pivot columns.
 
-    Every row from the current pivot row down is zero left of the pivot
-    column, so each elimination step recomputes only the columns from the
-    pivot column on.
+    A row with a nonzero entry in the pivot column becomes lead*row -
+    factor*pivot_row from that column on, divided by its gcd: a nonzero multiple
+    of the row Gaussian elimination gives.  Every other row is left as it is.
     """
     rows = [row[:] for row in matrix]
     n = len(rows)
     pivot_cols: list[int] = []
-    prev = 1
     r = 0
     for c in range(cols):
         pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
@@ -586,12 +587,11 @@ def _bareiss_echelon(matrix: list[list[int]], cols: int) -> tuple[list[list[int]
         rows[r], rows[pivot] = rows[pivot], rows[r]
         lead = rows[r][c]
         tail = rows[r][c:]
-        for i in range(r + 1, n):
-            row = rows[i]
-            if any(row[c:]):
-                factor = row[c]
-                row[c:] = [(lead * x - factor * y) // prev for x, y in zip(row[c:], tail)]
-        prev = lead
+        for row in rows[r + 1 :]:
+            if factor := row[c]:
+                new = [lead * x - factor * y for x, y in zip(row[c:], tail)]
+                g = gcd(*new)
+                row[c:] = [x // g for x in new] if g > 1 else new
         pivot_cols.append(c)
         r += 1
         if r == cols:

@@ -53,7 +53,7 @@ from qserieslab.bivariate import (
     quintuple_rhs,
     sub_bivariate,
 )
-from qserieslab.verify import _bareiss_echelon, evaluate, parse_expression, registry
+from qserieslab.verify import _echelon, evaluate, parse_expression, registry
 from oracles import (
     canonical_series,
     dict_combine,
@@ -70,11 +70,13 @@ from oracles import (
     theta_enumeration,
 )
 
-# The nonzero p/q with q <= 6 in [-4, 4], drawn as a denominator and then a
-# numerator so that a failing example shrinks both as integers.
-nonzero_fractions = st.integers(1, 6).flatmap(
-    lambda q: st.integers(-4 * q, 4 * q).filter(bool).map(lambda p: F(p, q))
-)
+@st.composite
+def nonzero_fractions(draw):
+    """The nonzero p/q with q <= 6 in [-4, 4], drawn as a denominator and then
+    a numerator so that a failing example shrinks both as integers and prints
+    as its value."""
+    q = draw(st.integers(1, 6))
+    return F(draw(st.integers(-4 * q, 4 * q).filter(bool)), q)
 
 
 @st.composite
@@ -82,7 +84,7 @@ def small_series(draw):
     grading = draw(st.integers(1, 6))
     numerators = draw(st.lists(st.integers(-12, 24), max_size=8, unique=True))
     coeffs = draw(
-        st.lists(nonzero_fractions, min_size=len(numerators), max_size=len(numerators))
+        st.lists(nonzero_fractions(), min_size=len(numerators), max_size=len(numerators))
     )
     order = F(draw(st.integers(25, 30)))
     terms = tuple(sorted((F(k, grading), c) for k, c in zip(numerators, coeffs)))
@@ -95,7 +97,7 @@ def integer_step_series(draw):
     lead = F(draw(st.integers(-12, 12)), grading)
     offsets = sorted(draw(st.sets(st.integers(1, 10), max_size=6)))
     coeffs = draw(
-        st.lists(nonzero_fractions, min_size=len(offsets) + 1, max_size=len(offsets) + 1)
+        st.lists(nonzero_fractions(), min_size=len(offsets) + 1, max_size=len(offsets) + 1)
     )
     order = lead + draw(st.integers(12, 16))
     terms = [(lead, coeffs[0])] + [(lead + o, c) for o, c in zip(offsets, coeffs[1:])]
@@ -228,7 +230,7 @@ def graded_series(draw, order=None):
     grading = draw(st.integers(1, 6))
     o = draw(any_orders) if order is None else order
     numerators = draw(st.lists(st.integers(-36, 36), max_size=8, unique=True))
-    terms = sorted((F(k, grading), draw(nonzero_fractions)) for k in numerators if F(k, grading) < o)
+    terms = sorted((F(k, grading), draw(nonzero_fractions())) for k in numerators if F(k, grading) < o)
     return PuiseuxSeries(grading, o, tuple(terms))
 
 
@@ -345,7 +347,7 @@ product_factors = st.tuples(
 @given(
     st.lists(product_factors, min_size=1, max_size=3),
     st.fractions(min_value=-2, max_value=2, max_denominator=4),
-    nonzero_fractions,
+    nonzero_fractions(),
     st.fractions(min_value=F(-1, 2), max_value=7, max_denominator=6),
 )
 # 1/(1+q^(3/2))^2 below q^(13/2): 13 half-steps end every stride in a partial block
@@ -375,7 +377,7 @@ def test_coefficient_reads_the_terms(a, e):
         assert a.coefficient(exponent) == c
 
 
-@given(graded_series(), graded_series(), nonzero_fractions, ratios)
+@given(graded_series(), graded_series(), nonzero_fractions(), ratios)
 def test_kernel_results_are_canonical(a, b, c, r):
     results = [add(a, b), sub(a, b), mul(a, b), scale(a, c), substitute(a, r), truncate(a, min(a.order, b.order))]
     if a.terms:
@@ -439,7 +441,7 @@ def test_weyl_gram_preservation_and_sign_homomorphism():
 
 @given(
     st.lists(small_series(), min_size=2, max_size=3),
-    st.lists(st.lists(nonzero_fractions, min_size=2, max_size=3), min_size=1, max_size=2),
+    st.lists(st.lists(nonzero_fractions(), min_size=2, max_size=3), min_size=1, max_size=2),
 )
 def test_discovery_round_trip_soundness(bases, combo_rows):
     # plant unique high markers so the bases are independent by construction;
@@ -491,10 +493,10 @@ def discover_columns(draw):
         elif kind == "copy":
             columns.append(base)
         elif kind == "scaled":
-            columns.append(scale(base, draw(nonzero_fractions)))
+            columns.append(scale(base, draw(nonzero_fractions())))
         else:
             other = draw(st.sampled_from(bases))
-            columns.append(add(scale(base, draw(nonzero_fractions)), scale(other, draw(nonzero_fractions))))
+            columns.append(add(scale(base, draw(nonzero_fractions())), scale(other, draw(nonzero_fractions()))))
     return draw(st.permutations(columns)), order - draw(st.sampled_from([0, F(1, 2), 1]))
 
 
@@ -515,7 +517,7 @@ def test_discover_matches_fraction_oracle(case):
         row = [d.get(e, F(0)) for d in lookups]
         den = lcm(*(c.denominator for c in row))
         matrix.append([int(c * den) for c in row])
-    echelon, pivots = _bareiss_echelon(matrix, len(columns))
+    echelon, pivots = _echelon(matrix, len(columns))
     assert len(pivots) == len(columns) - len(relations)
     for row, p in zip(echelon, pivots):
         assert row[p] != 0 and not any(row[:p])
@@ -666,7 +668,7 @@ def continuations(draw, a, whole_steps=False):
     start = a.terms[0][0] if a.terms else a.order
     first = start + step * ceil((a.order - start) / step)
     offsets = sorted(draw(st.sets(st.integers(0, 6), max_size=3)))
-    extra = tuple((first + j * step, draw(nonzero_fractions)) for j in offsets)
+    extra = tuple((first + j * step, draw(nonzero_fractions())) for j in offsets)
     top = max([a.order, *(e for e, _ in extra)])
     order = top + draw(st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6))
     grading = lcm(a.grading, *(e.denominator for e, _ in extra))
@@ -710,7 +712,7 @@ def test_sums_and_products_hold_on_continuations(x, y, packed):
 
 @given(
     continued(),
-    st.one_of(st.just(F(0)), nonzero_fractions),
+    st.one_of(st.just(F(0)), nonzero_fractions()),
     ratios,
     st.fractions(min_value=-7, max_value=31, max_denominator=6),
 )
@@ -759,7 +761,7 @@ def continued_bivariate(draw):
         if start is None:
             continue
         offsets = sorted(draw(st.sets(st.integers(0, 12), max_size=3)))
-        extra = [(ceil(start * 6) / F(6) + F(j, 6), draw(nonzero_fractions)) for j in offsets]
+        extra = [(ceil(start * 6) / F(6) + F(j, 6), draw(nonzero_fractions())) for j in offsets]
         terms = (b.layer(k).terms if inside else ()) + tuple(t for t in extra if t[0] < order)
         layers[k] = PuiseuxSeries(lcm(6, b.layer(k).grading), order, terms)
     wide = bivariate_from_layers(layers, (b.zmin - below, b.zmax + above), order, b.floor)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -259,6 +260,42 @@ class TestDiscover:
         combo = scale(a, F(3, 7))
         relations = discover([a, combo], 25)
         assert relations == [Relation((F(1), F(-7, 3)))]
+
+
+# (A, B): A square and nonsingular, so diag(A, B) spends its first pivots on
+# A's rows and leaves B's rows in their order for B's columns.
+_BLOCKS = [
+    ([[2, 1], [1, 3]], [[0, 4, 6], [6, 3, 0], [2, 2, 2], [4, 5, 6], [0, 0, 3]]),
+    ([[3]], [[2, 4], [1, 2], [3, 6], [5, 1]]),
+    ([[4, 0, 2], [6, 9, 0], [0, 5, 10]], [[0, 0], [6, 4], [9, 8], [0, 8]]),
+]
+
+
+def _diag(a, b):
+    return [row + [0] * len(b[0]) for row in a] + [[0] * len(a[0]) + row for row in b]
+
+
+class TestEchelon:
+    def test_row_with_zero_in_pivot_column_unchanged(self):
+        matrix = [[2, 0], [0, 3]]
+        assert verify._echelon(matrix, 2) == ([[2, 0], [0, 3]], [0, 1])
+        assert matrix == [[2, 0], [0, 3]]
+
+    @pytest.mark.parametrize("a, b", _BLOCKS)
+    def test_block_diagonal_eliminates_each_block_alone(self, a, b):
+        width = len(a[0])
+        echelon, pivots = verify._echelon(_diag(a, b), width + len(b[0]))
+        alone, alone_pivots = verify._echelon(b, len(b[0]))
+        assert pivots == list(range(width)) + [width + p for p in alone_pivots]
+        assert [row[width:] for row in echelon] == [[0] * len(b[0])] * width + alone
+
+    @pytest.mark.parametrize("matrix", [_diag(a, b) for a, b in _BLOCKS] + [b for _, b in _BLOCKS])
+    def test_changed_rows_are_primitive(self, matrix):
+        echelon, _ = verify._echelon(matrix, len(matrix[0]))
+        changed = [row for row in echelon if row not in matrix]
+        assert changed
+        for row in changed:
+            assert gcd(*row) == 1
 
 
 def _six_traces(order):
