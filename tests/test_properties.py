@@ -70,6 +70,7 @@ from oracles import (
     theta_enumeration,
 )
 
+
 @st.composite
 def nonzero_fractions(draw):
     """The nonzero p/q with q <= 6 in [-4, 4], drawn as a denominator and then
