@@ -262,7 +262,7 @@ def _theta_floor(branches: list) -> Optional[LayerFloor]:
         floor_branch = LayerFloorBranch(res, a, b - 2 * a * shift, a * shift * shift - b * shift + c)
         if res in seen:
             prev = seen[res]
-            # keep the pointwise smaller candidate only if comparable; give up otherwise
+            # two branches on one residue must give the same floor; else attach none
             if (prev.quad, prev.lin, prev.const) != (
                 floor_branch.quad,
                 floor_branch.lin,

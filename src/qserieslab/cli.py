@@ -4,9 +4,10 @@ linear relations.
 Exit status: 0 on success or all-PASS, 1 when a verification finds a
 mismatch, 2 on usage errors, unknown names or ids and malformed inputs
 (a zero denominator or substitution exponent, a zero series under inv,
-a signed substitution of a series whose exponent steps are not integers),
-3 when an order or window is insufficient.  Results go to stdout,
-diagnostics to stderr.
+a signed substitution of a series whose exponent steps are not integers,
+a registry path that cannot be read, such as a directory, or an expression
+nested too deeply to parse or evaluate), 3 when an order or window is
+insufficient.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .characters import UnknownNameError, named_series
-from .series import EmptySeriesError, GradingError, PuiseuxSeries, to_text
+from .characters import named_series
+from .series import EmptySeriesError, GradingError, to_text
 from .verify import (
     IdentityRecord,
     InsufficientRowsError,
@@ -185,11 +186,7 @@ def execute(cmd: Command) -> int:
 
 
 def _run_expand(cmd: Command) -> int:
-    try:
-        series = named_series(cmd.targets[0], cmd.order)
-    except UnknownNameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    series = named_series(cmd.targets[0], cmd.order)
     if cmd.machine:
         payload = {
             "name": cmd.targets[0],
@@ -222,13 +219,7 @@ def _run_verify_all(cmd: Command) -> int:
 
 
 def _run_discover(cmd: Command) -> int:
-    series: list[PuiseuxSeries] = []
-    try:
-        for name in cmd.targets:
-            series.append(named_series(name, cmd.order))
-    except UnknownNameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    series = [named_series(name, cmd.order) for name in cmd.targets]
     try:
         relations = discover(series, cmd.order)
     except InsufficientRowsError as exc:
@@ -258,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return execute(cmd)
-    except (FileNotFoundError, ValueError, EmptySeriesError, GradingError) as exc:
+    except (OSError, RecursionError, ValueError, EmptySeriesError, GradingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -349,10 +349,6 @@ def _lead_bound(a: PuiseuxSeries) -> Fraction:
     return a.leading_exponent if a.exps else min(Fraction(0), a.order)
 
 
-# Above this many coefficient pair products, mul switches from the direct
-# dictionary accumulation to Kronecker substitution on packed big integers.
-_NAIVE_LIMIT = 20_000
-
 # Above this many bits in the packed product, the Kronecker product is one
 # libmpdec multiplication in radix 10**w: its number-theoretic transform beats
 # CPython's Karatsuba int product there (break-even near 300k bits).
@@ -373,6 +369,11 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     keep their full provably-exact range.  An empty operand's lead is taken
     as min(0, its order): whatever it truncated lies at or above that order,
     so two empty operands certify O_a + O_b when both orders are negative.
+
+    The operands pick the kernel: laid out densely on their common exponent
+    stride g, they fill len(ia) + len(ib) digits.  The product is packed
+    (_kronecker_mul) when they have more coefficient pairs than that, and
+    summed pair by pair otherwise, so neither path outgrows the other.
     """
     order = min(a.order + _lead_bound(b), b.order + _lead_bound(a))
     if not a.exps or not b.exps:
@@ -383,8 +384,9 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     # Terms that cannot reach below the result order are pruned (never a lead).
     na, nb = bisect_left(ea, top - eb[0]), bisect_left(eb, top - ea[0])
     ea, ca, eb, cb = ea[:na], a.nums[:na], eb[:nb], b.nums[:nb]
-    if na * nb > _NAIVE_LIMIT:
-        exps, nums = _kronecker_mul(ea, eb, ca, cb, top)
+    g = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1  # 0 for two monomials
+    if na * nb > (ea[-1] - ea[0] + eb[-1] - eb[0]) // g + 2:  # len(ia) + len(ib)
+        exps, nums = _kronecker_mul(ea, eb, ca, cb, top, g)
     else:
         out: dict[int, int] = {}
         for x, u in zip(ea, ca):
@@ -397,27 +399,26 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
 
 
 def _kronecker_mul(
-    ea: Sequence[int], eb: Sequence[int], ca: Sequence[int], cb: Sequence[int], top: int
+    ea: Sequence[int], eb: Sequence[int], ca: Sequence[int], cb: Sequence[int], top: int, g: int
 ) -> tuple[list[int], list[int]]:
     """The product's exponent and coefficient numerators below `top`, from
     the operands' on one grid, via one packed multiplication.
 
-    Both operands are laid out densely on their common exponent stride and
-    packed as little-endian signed digits of a width that holds every
-    coefficient of the product, so one multiplication of the packed operands
-    does the convolution.  Up to _TRANSFORM_BITS product bits that is
-    Python's int product on digits of whole bytes; above it, libmpdec's
-    exact transform product on digits of w decimal places (_transform_mul),
-    unless decimal is pure Python or a digit could not pass through str.
+    Both operands are laid out densely on g, a common stride of their
+    exponent offsets, and packed as little-endian signed digits of a width
+    that holds every coefficient of the product, so one multiplication of the
+    packed operands does the convolution.  Up to _TRANSFORM_BITS product bits
+    that is Python's int product on digits of whole bytes; above it,
+    libmpdec's exact transform product on digits of w decimal places
+    (_transform_mul), unless decimal is pure Python or a digit could not pass
+    through str.
     """
-    base_a, base_b = ea[0], eb[0]
-    g = gcd(*(e - base_a for e in ea), *(e - base_b for e in eb)) or 1  # 0 for two monomials
     ia = _dense(ea, ca, g)
     ib = _dense(eb, cb, g)
     bound = max(map(abs, ca)) * max(map(abs, cb)) * min(len(ia), len(ib)) + 1
     bits = bound.bit_length()
     size = len(ia) + len(ib) - 1
-    base = base_a + base_b
+    base = ea[0] + eb[0]
     count = min(size, -((base - top) // g))
     w = -(-bits * 30103 // 100_000) + 1  # 10**(w-1) >= 2**bits > bound, as 0.30103 > log10(2)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (none before 3.10.7)

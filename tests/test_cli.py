@@ -156,6 +156,18 @@ class TestVerifyAll:
         assert code == 2
         assert err
 
+    def test_registry_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify-all", "--registry", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_forty_factor_product(self, capsys, tmp_path):
+        # one product nested to the left, against two halves of 20
+        chain, half = " * ".join(["chi:2,5,1,2"] * 40), " * ".join(["chi:2,5,1,2"] * 20)
+        path = tmp_path / "chain.registry"
+        path.write_text(f"CHAIN | 50 | {chain} | ({half}) * ({half})\n")
+        assert run(capsys, "verify-all", "--registry", str(path)) == (0, "CHAIN PASS order=50/1\n", "")
+
     def test_json_lines(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--order", "15", "--json")
         assert code == 0
@@ -258,6 +270,8 @@ class TestMainUsage:
             "X | 10 | subsigned(rr:1,0) | rr:1",
             "X | 10 | inv(rr:1 - rr:1) | rr:1",
             "X | 50 | subsigned(chi:2,5,1,1@q^1/2, 1) | rr:1",
+            pytest.param("X | 5 | " + " + ".join(["rr:1"] * 1500) + " | rr:1", id="sum-of-1500-terms"),
+            pytest.param("X | 5 | " + "(" * 1200 + "rr:1" + ")" * 1200 + " | rr:1", id="1200-nested-parentheses"),
         ],
     )
     def test_bad_registry_entry_exits_two(self, capsys, tmp_path, line):
@@ -331,8 +345,8 @@ _orders = st.sampled_from(["-3", "0", "1/3", "3", "5/2", "12", "12", "1/0", "abc
 @st.composite
 def generated_argv(draw):
     """A verb with its targets, sometimes one too few or too many, and
-    optional flags, in a drawn order; {registry} and {missing} stand for
-    file paths."""
+    optional flags, in a drawn order; {registry}, {missing} and {directory}
+    stand for file paths."""
     verb = draw(st.sampled_from(["expand", "verify", "verify-all", "discover"] * 3 + ["frobnicate"]))
     needed = {"expand": 1, "verify": 1, "discover": 2}.get(verb, 0)
     count = draw(st.sampled_from([needed] * 4 + [max(0, needed - 1), needed + 1]))
@@ -342,7 +356,7 @@ def generated_argv(draw):
     if draw(st.booleans()):
         groups.append(["--json"])
     if draw(st.sampled_from([False] * 3 + [True])):
-        groups.append(["--registry", draw(st.sampled_from(["{registry}", "{registry}", "{missing}"]))])
+        groups.append(["--registry", draw(st.sampled_from(["{registry}", "{registry}", "{missing}", "{directory}"]))])
     return [verb] + [token for group in draw(st.permutations(groups)) for token in group]
 
 
@@ -353,10 +367,12 @@ def test_generated_argv_exit_codes(argv):
         registry = os.path.join(tmp, "generated.registry")
         with open(registry, "w", encoding="utf-8") as fh:
             fh.write(REGISTRY)
-        paths = {"registry": registry, "missing": os.path.join(tmp, "missing.registry")}
+        paths = {"registry": registry, "missing": os.path.join(tmp, "missing.registry"), "directory": tmp}
         with redirect_stdout(out), redirect_stderr(err):
             code = main([token.format(**paths) for token in argv])
     assert code in (0, 1, 2, 3)
+    if "{missing}" in argv or "{directory}" in argv:
+        assert code == 2
     if code == 1:
         assert " FAIL " in out.getvalue() or '"status":"FAIL"' in out.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -69,6 +69,7 @@ from oracles import (
     quintuple_product_layers,
     theta_enumeration,
 )
+from test_series import packed_mul
 
 
 @st.composite
@@ -186,11 +187,11 @@ def assert_matches_oracle(product: PuiseuxSeries, a: PuiseuxSeries, b: PuiseuxSe
     assert product.grading == lcm(*(e.denominator for e, _ in product.terms))
 
 
-# The threshold patches that send every product of nonzero operands through
-# one of mul's packed kernels: big ints, or decimals through libmpdec.
+# The _TRANSFORM_BITS patches that send packed_mul's product of nonzero
+# operands through one packed kernel: big ints, or decimals through libmpdec.
 PACKED_KERNELS = {
-    "binary": {"_NAIVE_LIMIT": 0, "_TRANSFORM_BITS": float("inf")},
-    "transform": {"_NAIVE_LIMIT": 0, "_TRANSFORM_BITS": 0},
+    "binary": {"_TRANSFORM_BITS": float("inf")},
+    "transform": {"_TRANSFORM_BITS": 0},
 }
 
 
@@ -204,7 +205,7 @@ def test_kronecker_mul_matches_dict_oracle(pair):
     a, b = pair
     for thresholds in PACKED_KERNELS.values():
         with patch.multiple(series, **thresholds):
-            assert_matches_oracle(mul(a, b), a, b)
+            assert_matches_oracle(packed_mul(a, b), a, b)
 
 
 @given(small_series(), small_series())

@@ -1,6 +1,8 @@
 import sys
+from bisect import bisect_left
 from dataclasses import fields
 from fractions import Fraction as F
+from math import ceil, gcd, lcm
 from unittest.mock import patch
 
 import pytest
@@ -151,9 +153,66 @@ def _polynomial(coefs, order):
     return PuiseuxSeries(1, order, tuple((F(i), F(c)) for i, c in enumerate(coefs) if c))
 
 
+def packed_mul(a, b):
+    """mul(a, b) with the terms mul keeps, those that can reach below the
+    product's order, always packed through _kronecker_mul, whichever kernel
+    mul's rule would pick; mul(a, b) itself when an operand is empty."""
+    if not a.exps or not b.exps:
+        return mul(a, b)
+    order = min(a.order + F(b.exps[0], b.grading), b.order + F(a.exps[0], a.grading))
+    grid = lcm(a.grading, b.grading)
+    top = ceil(order * grid)
+    ea = [e * (grid // a.grading) for e in a.exps]
+    eb = [e * (grid // b.grading) for e in b.exps]
+    na, nb = bisect_left(ea, top - eb[0]), bisect_left(eb, top - ea[0])
+    ea, ca, eb, cb = ea[:na], a.nums[:na], eb[:nb], b.nums[:nb]
+    g = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1
+    exps, nums = series._kronecker_mul(ea, eb, ca, cb, top, g)
+    return series._from_grid(grid, exps, nums, a.den * b.den, order)
+
+
+class TestKernelRule:
+    """mul packs exactly when the pruned operands have more coefficient pairs
+    than the digits of their dense layouts on the common exponent stride."""
+
+    @staticmethod
+    def packs(a, b):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return kronecker_mul(*args)
+
+        kronecker_mul = series._kronecker_mul
+        with patch.object(series, "_kronecker_mul", spy):
+            prod = mul(a, b)
+        assert dict(prod.terms) == dict_mul(dict(a.terms), dict(b.terms), prod.order)
+        return len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "exps_a, exps_b, packed",
+        [
+            ((0, 1, 2), (0, 1, 5), False),  # 9 pairs, 3 + 6 digits
+            ((0, 1, 2), (0, 1, 4), True),  # 9 pairs, 3 + 5 digits
+            ((0, 2, 4), (0, 2, 8), True),  # 9 pairs, 3 + 5 digits on stride 2
+            ((0, 2, 4), (0, 2, 10), False),  # 9 pairs, 3 + 6 digits on stride 2
+            ((0, 1, 2), (0, 1, 4, 30), True),  # q^30 is pruned at order 20
+        ],
+    )
+    def test_pairs_against_digits(self, exps_a, exps_b, packed):
+        a = PuiseuxSeries(1, F(20), tuple((F(e), F(e + 1)) for e in exps_a))
+        b = PuiseuxSeries(1, F(40), tuple((F(e), F(-e - 2)) for e in exps_b))
+        assert self.packs(a, b) is packed
+
+    def test_two_terms_on_a_fine_grid_sum_pairs(self):
+        # 400 pairs against the 2 + 198,404 digits of 1/(q)_oo on the 1/997 grid
+        a = PuiseuxSeries(997, F(200), ((F(0), F(1)), (F(1, 997), F(1))))
+        assert not self.packs(a, invert(euler_phi(200)))
+
+
 class TestTransformMul:
-    """The Kronecker product through libmpdec, which every product of nonzero
-    operands takes with both thresholds at 0, against the dict oracle."""
+    """The Kronecker product through libmpdec, which packed_mul takes on
+    nonzero operands with _TRANSFORM_BITS at 0, against the dict oracle."""
 
     @staticmethod
     def transform_product(a, b, expect_transform=True):
@@ -164,8 +223,8 @@ class TestTransformMul:
             return transform_mul(*args)
 
         transform_mul = series._transform_mul
-        with patch.multiple(series, _NAIVE_LIMIT=0, _TRANSFORM_BITS=0, _transform_mul=spy):
-            prod = mul(a, b)
+        with patch.multiple(series, _TRANSFORM_BITS=0, _transform_mul=spy):
+            prod = packed_mul(a, b)
         assert len(calls) == (1 if expect_transform else 0)
         assert dict(prod.terms) == dict_mul(dict(a.terms), dict(b.terms), prod.order)
         return prod

@@ -215,6 +215,35 @@ class TestRetryStop:
         assert verify._negative_lead(record.lhs.right) == -2
 
 
+class TestProductChains:
+    """A product probes each factor's negative lead once per subtree, so an
+    n-factor product costs O(n^2) evaluations, not about 2^(n+1)."""
+
+    @pytest.mark.parametrize("nest", ["left", "right"])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_evaluations_quadratic_in_factors(self, monkeypatch, n, nest):
+        factors = [("chi:2,5,1,1", "chi:2,5,1,2")[i % 2] for i in range(n)]
+        text = " * ".join(factors)  # the grammar nests a chain to the left
+        if nest == "right":
+            text = factors[-1]
+            for name in reversed(factors[:-1]):
+                text = f"{name} * ({text})"
+        expr = parse_expression(text)
+        verify._negative_lead.cache_clear()
+        calls = 0
+        original = verify.evaluate
+
+        def counting(node, order):
+            nonlocal calls
+            calls += 1
+            if calls > 2 * n * n:  # fail fast instead of running exponentially long
+                raise AssertionError(f"more than {2 * n * n} evaluations")
+            return original(node, order)
+
+        monkeypatch.setattr(verify, "evaluate", counting)
+        assert verify.evaluate(expr, 10).order >= 10
+
+
 class TestDiscover:
     def test_min1_relation(self):
         series = [named_series(n, F(30)) for n in ("chi:5,6,1,2", "chi:5,6,1,4", "chi:2,5,1,1@q^1/2")]
