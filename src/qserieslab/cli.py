@@ -252,6 +252,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, RecursionError, ValueError, EmptySeriesError, GradingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,6 +9,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -316,6 +321,22 @@ def run_alone(*argv):
         [sys.executable, "-m", "qserieslab.cli", *argv], capture_output=True, text=True, env=env
     )
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.skipif(resource is None, reason="no resource module")
+def test_out_of_memory_exits_two():
+    # rr:1 asked for order 5*10**9 lays out a dense list that long; the child
+    # limits its own address space to 1 GiB, so the allocation fails at once
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from qserieslab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qserieslab.__file__).parents[1]))
+    argv = ["expand", "rr:1@q^1/100000000", "--order", "50"]
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
 class TestSharedParser:

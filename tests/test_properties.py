@@ -69,7 +69,7 @@ from oracles import (
     quintuple_product_layers,
     theta_enumeration,
 )
-from test_series import packed_mul
+from test_series import kernel_mul
 
 
 @st.composite
@@ -187,7 +187,7 @@ def assert_matches_oracle(product: PuiseuxSeries, a: PuiseuxSeries, b: PuiseuxSe
     assert product.grading == lcm(*(e.denominator for e, _ in product.terms))
 
 
-# The _TRANSFORM_BITS patches that send packed_mul's product of nonzero
+# The _TRANSFORM_BITS patches that send kernel_mul's product of nonzero
 # operands through one packed kernel: big ints, or decimals through libmpdec.
 PACKED_KERNELS = {
     "binary": {"_TRANSFORM_BITS": float("inf")},
@@ -205,7 +205,35 @@ def test_kronecker_mul_matches_dict_oracle(pair):
     a, b = pair
     for thresholds in PACKED_KERNELS.values():
         with patch.multiple(series, **thresholds):
-            assert_matches_oracle(packed_mul(a, b), a, b)
+            assert_matches_oracle(kernel_mul(a, b), a, b)
+
+
+@st.composite
+def kernel_series(draw):
+    """A series on a drawn grading whose terms step by a drawn stride from a
+    lead that may be negative: a monomial or up to 14 terms, with
+    coefficients all ±1 or drawn rationals and wide integers, certified to a
+    drawn distance past its last term."""
+    grading, stride = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    lead = draw(st.integers(-12, 12))
+    steps = sorted(draw(st.sets(st.integers(1, 30), max_size=13)))
+    units = st.sampled_from([F(1), F(-1)])
+    wide = st.integers(-(2**80), 2**80).filter(bool).map(F)
+    values = draw(st.sampled_from([units, st.one_of(nonzero_fractions(), wide)]))
+    numerators = [lead, *(lead + stride * k for k in steps)]
+    coeffs = draw(st.lists(values, min_size=len(numerators), max_size=len(numerators)))
+    order = F(numerators[-1] + draw(st.integers(1, 40)), grading)
+    return PuiseuxSeries(grading, order, tuple((F(k, grading), c) for k, c in zip(numerators, coeffs)))
+
+
+@given(kernel_series(), kernel_series(), st.booleans())
+def test_forced_kernels_match_dict_oracle(a, b, square):
+    # a short order of one operand prunes the other's upper terms
+    b = a if square else b
+    assert_matches_oracle(kernel_mul(a, b, "_shifted_mul"), a, b)
+    for thresholds in PACKED_KERNELS.values():
+        with patch.multiple(series, **thresholds):
+            assert_matches_oracle(kernel_mul(a, b), a, b)
 
 
 @given(small_series(), small_series())
