@@ -21,17 +21,14 @@ bounds stated on mul and invert.
 mul picks one of four paths from its operands, after pruning the terms that
 cannot reach below the product's order.  With na <= nb terms laid out densely
 on their common exponent stride in la and lb slots: pairs are summed one by
-one when na * nb <= la + lb; a theta-shaped sparse factor, na * na <= 4 * lb,
-adds na shifted copies of the dense one; otherwise the product is one
+one when na * nb <= la + lb; a sparse factor of +-1 numerators, such as a
+theta sum, adds na shifted copies of the other when na * lb <= (la + lb) * w,
+for w the bit length of the other's largest numerator, so that it adds no more
+elements than packing would write bits; otherwise the product is one
 Kronecker substitution, both operands packed as signed digits into one number
 each (equal operands once, the number squared) and multiplied once, as Python
 ints, or above _TRANSFORM_BITS as decimals in an exact libmpdec context,
-whose number-theoretic transform is faster there.  The packed digits need
-only hold the kept slots: with h = ceil(count/2) for the count kept, every
-pair (i, j) with i + j < count has i < h or j < h, so a kept slot is at most
-SA*MB + MA*SB, the sums S of |digit| below h times the other's largest M.
-Discarded slots may overflow their digits; carries only move upward, so the
-low count digits are read back exactly modulo the radix to the count.
+whose number-theoretic transform is faster there.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Union
 
@@ -383,11 +379,18 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
 
     The operands pick the kernel.  Terms that cannot reach below the result
     order are pruned first; laid out densely on their common exponent stride
-    g, the operands of na <= nb terms fill la + lb digits.
+    g, the operands of na <= nb terms fill la + lb digits, and w is the bit
+    length of the larger operand's largest coefficient numerator.
       pairs:   na * nb <= la + lb; each pair product is summed.
-      shifted: na * na <= 4 * lb, a theta-shaped sparse factor against a
-               dense one (_shifted_mul); na slice additions of length <= lb.
+      shifted: the na numerators are all +-1 and na * lb <= (la + lb) * w;
+               na shifted copies of the larger operand are added
+               (_shifted_mul).
       packed:  otherwise, one Kronecker product (_kronecker_mul).
+    Pairs make no more products than packing lays out digits, and shifted
+    adds no more elements than packing writes bits, its digits being at
+    least w bits wide, so neither outgrows packing's linear work.  A
+    numerator other than +-1 would add a multiplication to each of its lb
+    additions, which packing does at once for every term.
     """
     order = min(a.order + _lead_bound(b), b.order + _lead_bound(a))
     if not a.exps or not b.exps:
@@ -401,8 +404,8 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     if nb < na:  # a is the operand with fewer terms
         ea, ca, eb, cb, na, nb = eb, cb, ea, ca, nb, na
     g = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1  # 0 for two monomials
-    lb = (eb[-1] - eb[0]) // g + 1
-    if na * nb <= (ea[-1] - ea[0]) // g + 1 + lb:
+    la, lb = (ea[-1] - ea[0]) // g + 1, (eb[-1] - eb[0]) // g + 1
+    if na * nb <= la + lb:
         out: dict[int, int] = {}
         for x, u in zip(ea, ca):
             for y, v in zip(eb[: bisect_left(eb, top - x)], cb):
@@ -410,7 +413,7 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
                 out[x + y] = u * v if s is None else s + u * v
         exps = sorted(e for e, v in out.items() if v)
         nums = [out[e] for e in exps]
-    elif na * na <= 4 * lb:
+    elif max(map(abs, ca)) == 1 and na * lb <= (la + lb) * max(map(abs, cb)).bit_length():
         exps, nums = _shifted_mul(ea, eb, ca, cb, top, g)
     else:
         exps, nums = _kronecker_mul(ea, eb, ca, cb, top, g)
@@ -421,9 +424,10 @@ def _shifted_mul(
     ea: Sequence[int], eb: Sequence[int], ca: Sequence[int], cb: Sequence[int], top: int, g: int
 ) -> tuple[list[int], list[int]]:
     """The product's exponent and coefficient numerators below `top`, from
-    the operands' on one grid, as one shifted copy of b's dense layout on g
-    per term of a, each added to the `count` kept slots as one slice update.
-    A slice past the last kept slot stops there, and map stops with it."""
+    the operands' on one grid, where every numerator of a is 1 or -1: one
+    shifted copy of b's dense layout on g per term of a, added to or
+    subtracted from the `count` kept slots as one slice update.  A slice past
+    the last kept slot stops there, and map stops with it."""
     ib = _dense(eb, cb, g)
     base = ea[0] + eb[0]
     count = min((ea[-1] - ea[0]) // g + len(ib), -((base - top) // g))
@@ -431,12 +435,7 @@ def _shifted_mul(
     for e, c in zip(ea, ca):
         i = (e - ea[0]) // g
         j = i + len(ib)
-        if c == 1:
-            out[i:j] = map(operator.add, out[i:j], ib)
-        elif c == -1:
-            out[i:j] = map(operator.sub, out[i:j], ib)
-        else:
-            out[i:j] = map(operator.add, out[i:j], map(operator.mul, ib, repeat(c)))
+        out[i:j] = map(operator.add if c == 1 else operator.sub, out[i:j], ib)
     return _sparse(out, base, g)
 
 
@@ -447,35 +446,25 @@ def _kronecker_mul(
     the operands' on one grid, via one packed multiplication.
 
     Both operands are laid out densely on g, a common stride of their
-    exponent offsets, and packed as little-endian signed digits wide enough
-    for every kept slot, the `count` lowest, so one multiplication of the
+    exponent offsets, and packed as little-endian signed digits of a width
+    that holds every coefficient of the product, so one multiplication of the
     packed operands does the convolution.  Equal operands are packed once and
     the number squared.  Up to _TRANSFORM_BITS product bits that is Python's
     int product on digits of whole bytes; above it, libmpdec's exact
     transform product on digits of w decimal places (_transform_mul), unless
     decimal is pure Python or a digit could not pass through str.
-
-    The width comes from the split-half bound SA*MB + MA*SB + 1, with
-    h = ceil(count/2), SA and SB the sums of |digit| below h and MA and MB
-    the largest |digit|: a pair (i, j) with i + j < count has i < h or j < h,
-    so every kept slot lies below it.  Slots at or above count may exceed
-    their digit and carry into the ones above, even flip the sign of the
-    packed product; the decoders read only the low count digits modulo the
-    radix to that power, which those carries never reach.
     """
     ia = _dense(ea, ca, g)
     ib = ia if ca == cb and ea == eb else _dense(eb, cb, g)
+    bound = max(map(abs, ca)) * max(map(abs, cb)) * min(len(ia), len(ib)) + 1
+    bits = bound.bit_length()
     size = len(ia) + len(ib) - 1
     base = ea[0] + eb[0]
     count = min(size, -((base - top) // g))
-    h = (count + 1) // 2
-    sa, ma = sum(map(abs, ia[:h])), max(map(abs, ia))
-    sb, mb = (sa, ma) if ib is ia else (sum(map(abs, ib[:h])), max(map(abs, ib)))
-    bits = (sa * mb + ma * sb + 1).bit_length()
     w = -(-bits * 30103 // 100_000) + 1  # 10**(w-1) >= 2**bits > bound, as 0.30103 > log10(2)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (none before 3.10.7)
     if _LIBMPDEC is not None and size * bits > _TRANSFORM_BITS and not 0 < limit < w:
-        digits = _transform_mul(ia, ib, w, count)
+        digits = _transform_mul(ia, ib, w, size, count)
     else:
         nbytes = (bits + 9) // 8
         pa = _pack(ia, nbytes)
@@ -483,32 +472,25 @@ def _kronecker_mul(
     return _sparse(digits, base, g)
 
 
-def _transform_mul(ia: list[int], ib: list[int], w: int, count: int) -> list[int]:
-    """The lowest `count` digits of the product of the digit lists ia and ib
-    in radix 10**w, each kept digit below half = 5 * 10**(w-1) in absolute
-    value, through one libmpdec multiplication in the exact context; ia is
-    packed once when ib is ia.
+def _transform_mul(ia: list[int], ib: list[int], w: int, size: int, count: int) -> list[int]:
+    """The lowest `count` of the `size` digits of the product of the digit
+    lists ia and ib in radix 10**w, each digit below half = 5 * 10**(w-1) in
+    absolute value, through one libmpdec multiplication in the exact context;
+    ia is packed once when ib is ia.
 
-    The product's magnitude is read off its decimal string, w places a digit
-    from the lowest: a balanced decode carries 1 into the next digit wherever
-    one reads at least half.  The sign of the string applies to every digit.
-    No decimal division cuts off the high digits, and nothing above the low
-    count * w places is read.
+    Adding half to every digit of the product makes all of them nonnegative
+    with no borrows, as in _unpack, so they are read off the decimal string,
+    w places each; no decimal division cuts off the high digits.
     """
     pa = _decimal_pack(ia, w)
     total = _LIBMPDEC.multiply(pa, pa if ib is ia else _decimal_pack(ib, w))
     del pa
-    text = str(total)
-    del total
+    total = _LIBMPDEC.add(total, Decimal(("5" + "0" * (w - 1)) * size))
     n = count * w
-    low = text[-n:].lstrip("-").zfill(n)
-    radix, half = 10**w, 5 * 10 ** (w - 1)
-    digits, carry = [], 0
-    for j in range(n, 0, -w):
-        v = int(low[j - w : j]) + carry
-        carry = v >= half
-        digits.append(v - radix if carry else v)
-    return [-v for v in digits] if text[0] == "-" else digits
+    low = str(total)[-n:].zfill(n)
+    del total
+    half = 5 * 10 ** (w - 1)
+    return [int(low[j - w : j]) - half for j in range(n, 0, -w)]
 
 
 def _decimal_pack(vals: list[int], w: int) -> Decimal:

@@ -156,8 +156,8 @@ def _polynomial(coefs, order):
 def kernel_mul(a, b, kernel="_kronecker_mul"):
     """mul(a, b) with the terms mul keeps, those that can reach below the
     product's order, always sent through the named kernel of series
-    (_shifted_mul or _kronecker_mul), whichever one mul's rule would pick;
-    mul(a, b) itself when an operand is empty."""
+    (_shifted_mul, for an a of +-1 numerators, or _kronecker_mul), whichever
+    one mul's rule would pick; mul(a, b) itself when an operand is empty."""
     if not a.exps or not b.exps:
         return mul(a, b)
     order = min(a.order + F(b.exps[0], b.grading), b.order + F(a.exps[0], a.grading))
@@ -185,9 +185,10 @@ def spied(name, calls):
 
 class TestKernelRule:
     """After pruning, with na <= nb terms that fill la + lb digits laid out
-    densely on the common exponent stride, mul sums pairs when
-    na * nb <= la + lb, takes shifted adds when na * na <= 4 * lb and packs
-    otherwise."""
+    densely on the common exponent stride and w the bit length of the larger
+    operand's largest numerator, mul sums pairs when na * nb <= la + lb,
+    takes shifted adds when the na numerators are all +-1 and
+    na * lb <= (la + lb) * w, and packs otherwise."""
 
     @staticmethod
     def kernel(a, b):
@@ -205,34 +206,45 @@ class TestKernelRule:
     def integral(exps, order, sign=1):
         return PuiseuxSeries(1, F(order), tuple((F(e), F(sign * (e + 1))) for e in exps))
 
+    @staticmethod
+    def theta(exps, order, scale=1):
+        """Alternating signs times scale at the given exponents."""
+        return PuiseuxSeries(1, F(order), tuple((F(e), F((-1) ** k * scale)) for k, e in enumerate(exps)))
+
     @pytest.mark.parametrize(
         "exps_a, exps_b, beyond_pairs",
         [
             ((0, 1, 2), (0, 1, 5), False),  # 9 pairs, 3 + 6 digits
-            ((0, 1, 2), (0, 1, 4), True),  # 9 pairs, 3 + 5 digits; 3 * 3 <= 4 * 5
+            ((0, 1, 2), (0, 1, 4), True),  # 9 pairs, 3 + 5 digits
             ((0, 2, 4), (0, 2, 8), True),  # 9 pairs, 3 + 5 digits on stride 2
             ((0, 2, 4), (0, 2, 10), False),  # 9 pairs, 3 + 6 digits on stride 2
             ((0, 1, 2), (0, 1, 4, 30), True),  # q^30 is pruned at order 20
         ],
     )
     def test_pairs_against_digits(self, exps_a, exps_b, beyond_pairs):
-        # three terms against five slots are theta-shaped: past pairs, shifted adds
+        # the numerators 1, 2, 3 are not all +-1, so past pairs the product packs
         kernel = self.kernel(self.integral(exps_a, 20), self.integral(exps_b, 40, -1))
-        assert kernel == ("shifted" if beyond_pairs else "pairs")
+        assert kernel == ("packed" if beyond_pairs else "pairs")
 
     @pytest.mark.parametrize(
-        "exps_a, exps_b, kernel",
+        "a, b, kernel",
         [
-            ((0, 1, 4), (0, 1, 2), "shifted"),  # b is the sparser operand
-            (range(4), range(4), "shifted"),  # 16 pairs > 4 + 4 digits; 4 * 4 = 4 * 4
-            (range(6), range(9), "shifted"),  # 54 pairs > 6 + 9 digits; 6 * 6 = 4 * 9
-            (range(6), range(8), "packed"),  # 48 pairs > 6 + 8 digits; 6 * 6 > 4 * 8
-            (range(6), (*range(8), 10), "shifted"),  # lb counts the gap: 6 * 6 <= 4 * 11
-            (range(12), range(12), "packed"),
+            # 4 * 10 = (10 + 10) * 2 element adds against bits, w = 2 for 3
+            (((0, 3, 6, 9), 1), (range(10), 3), "shifted"),
+            (((0, 2, 4, 6, 9), 1), (range(10), 3), "packed"),  # 5 * 10 > 20 * 2
+            (((0, 2, 4, 6, 9), 1), (range(10), 4), "shifted"),  # 5 * 10 <= 20 * 3
+            (((0, 2, 4, 6, 9), F(1, 3)), (range(10), 4), "shifted"),  # numerators +-1 over 3
+            (((0, 3, 6, 9), 2), (range(10), 3), "packed"),  # numerators +-2 would multiply
+            (((0, 3, 6, 9), 1), (range(6), 3), "shifted"),  # 4 * 6 <= (10 + 6) * 2
+            (((0, 3, 6, 9), 1), ((*range(6), 15), 3), "packed"),  # lb counts the gap: 4 * 16 > 26 * 2
         ],
     )
-    def test_names_the_kernel(self, exps_a, exps_b, kernel):
-        assert self.kernel(self.integral(exps_a, 20), self.integral(exps_b, 40, -1)) == kernel
+    def test_names_the_kernel(self, a, b, kernel):
+        (exps_a, scale), (exps_b, c) = a, b
+        sparse = self.theta(exps_a, 20, scale)
+        dense = PuiseuxSeries(1, F(20), tuple((F(e), F(c)) for e in exps_b))
+        assert self.kernel(sparse, dense) == kernel
+        assert self.kernel(dense, sparse) == kernel  # the sparser operand is found either way
 
     def test_two_terms_on_a_fine_grid_sum_pairs(self):
         # 400 pairs against the 2 + 198,404 digits of 1/(q)_oo on the 1/997 grid
@@ -240,9 +252,15 @@ class TestKernelRule:
         assert self.kernel(a, invert(euler_phi(200))) == "pairs"
 
     def test_theta_times_the_partition_function_shifts(self):
-        # the 23 pentagonal terms of (q)_oo below 200 against its 200-term inverse
+        # the 23 pentagonal terms of (q)_oo below 200 against its 200-term
+        # inverse, whose largest numerator p(199) has w = 42 bits
         phi = euler_phi(200)
         assert self.kernel(phi, invert(phi)) == "shifted"
+
+    def test_theta_squared_packs(self):
+        # w = 1: shifted adds would outnumber the bits, as past pairs they always do
+        phi = euler_phi(200)
+        assert self.kernel(phi, phi) == "packed"
 
 
 class TestTransformMul:
@@ -272,11 +290,10 @@ class TestTransformMul:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_widest_digit(self, sign):
-        # n equal coefficients c and c' kept to order n: h = n/2, so the top
-        # kept slot n*c*c' is SA*MB + MA*SB = bound - 1, the widest the
-        # split-half bound allows
+        # n equal coefficients c and c' make the middle digit n*c*c' = bound - 1,
+        # the widest the packing allows
         n, c = 64, 10**40 - 1
-        a, b = _polynomial([c] * n, n), _polynomial([sign * c] * n, n)
+        a, b = _polynomial([c] * n, 2 * n), _polynomial([sign * c] * n, 2 * n)
         prod = self.transform_product(a, b)
         assert prod.coefficient(n - 1) == sign * n * c * c
 
@@ -303,73 +320,17 @@ class TestTransformMul:
             sys.set_int_max_str_digits(limit)
 
 
-class _RecordingContext:
-    """The libmpdec context of series, recording each product it returns."""
-
-    def __init__(self, context):
-        self.context, self.products = context, []
-
-    def multiply(self, x, y):
-        self.products.append(self.context.multiply(x, y))
-        return self.products[-1]
-
-    def __getattr__(self, name):
-        return getattr(self.context, name)
-
-
-@pytest.mark.parametrize("kernel", ["int", "libmpdec"])
-class TestPackedKernels:
-    """Both packed kernels at the edge of the split-half digit bound
-    SA*MB + MA*SB + 1, past it in the slots that are not kept, and on a
-    square."""
-
-    @staticmethod
-    def packed_products(a, b, kernel):
-        """kernel_mul(a, b) through the named packed kernel, checked against
-        the dict oracle, and the packed products it multiplied out."""
-        if kernel == "libmpdec" and series._LIBMPDEC is None:
-            pytest.skip("decimal is the pure-Python module")
-        unpacked, transformed = [], []
-        spies = {"_unpack": spied("_unpack", unpacked), "_transform_mul": spied("_transform_mul", transformed)}
-        context = _RecordingContext(series._LIBMPDEC)
-        bits = float("inf") if kernel == "int" else 0
-        with patch.multiple(series, _TRANSFORM_BITS=bits, _LIBMPDEC=context, **spies):
-            prod = kernel_mul(a, b)
-        assert dict(prod.terms) == dict_mul(dict(a.terms), dict(b.terms), prod.order)
-        if kernel == "int":
-            assert not transformed
-            return prod, [args[0] for args in unpacked]
-        assert len(transformed) == 1 and not unpacked
-        return prod, context.products
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_kept_slot_at_bound_minus_one(self, kernel, sign):
-        # 2h coefficients c and c' kept to order 2h: SA = h*c, MB = c', and
-        # the top kept slot is 2h*c*c' = SA*MB + MA*SB = bound - 1
-        h, c = 5, 2**61 - 1
-        a, b = _polynomial([c] * (2 * h), 2 * h), _polynomial([sign * 3 * c] * (2 * h), 2 * h)
-        prod, _ = self.packed_products(a, b, kernel)
-        assert prod.coefficient(2 * h - 1) == sign * 2 * h * c * 3 * c
-
-    def test_discarded_slots_overflow(self, kernel):
-        # a = 1 - q + M*(q^10 + q^11) and b = 2 + q - M*(q^10 + q^11) kept to
-        # order 12: the bound is 2M + 3M + 1, but the discarded slot 22 holds
-        # -M*M, which overflows its digit and makes the packed product negative
-        m = 10**30
-        a = _polynomial([1, -1] + [0] * 8 + [m, m], 12)
-        b = _polynomial([2, 1] + [0] * 8 + [-m, -m], 12)
-        prod, packed = self.packed_products(a, b, kernel)
-        assert len(packed) == 1 and packed[0] < 0
-        assert prod.coefficient(11) == 3 * m
-        assert prod.coefficient(10) == m
-
-    def test_square_packs_once(self, kernel):
-        a = invert(euler_phi(100))
-        packs = []
-        pack = "_pack" if kernel == "int" else "_decimal_pack"
-        with patch.object(series, pack, spied(pack, packs)):
-            self.packed_products(a, a, kernel)
-        assert len(packs) == 1
+@pytest.mark.parametrize("kernel, pack", [("int", "_pack"), ("libmpdec", "_decimal_pack")])
+def test_square_packs_once(kernel, pack):
+    if kernel == "libmpdec" and series._LIBMPDEC is None:
+        pytest.skip("decimal is the pure-Python module")
+    a = invert(euler_phi(100))
+    packs = []
+    bits = float("inf") if kernel == "int" else 0
+    with patch.multiple(series, _TRANSFORM_BITS=bits, **{pack: spied(pack, packs)}):
+        prod = kernel_mul(a, a)
+    assert len(packs) == 1
+    assert dict(prod.terms) == dict_mul(dict(a.terms), dict(a.terms), prod.order)
 
 
 class TestInvert:
