@@ -176,42 +176,43 @@ def quintuple_rhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
     """Product side of the quintuple product identity.
 
     (1+z) * prod over n >= 1 of (1-q^(2n)) (1-q^(4n-2)z^2) (1-q^(4n-2)z^-2)
-    (1+q^(2n)z) (1+q^(2n)z^-1), below q^top, top = ceil(order).  Kronecker
-    substitution q -> x^W, z -> x sends q^e z^k to x^(eW+k) and each of the
-    five progressions to one factor family in x, which products._times_family
-    applies by Euler's sum to one dense list f, starting from 1 + z = 1 + x.
+    (1+q^(2n)z) (1+q^(2n)z^-1), in Q = q^2 (every q-exponent is even) below
+    Q^half, half = ceil(ceil(order)/2).  Kronecker substitution Q -> x^W,
+    z -> x sends Q^E z^k to x^(EW+k) and each of the five progressions to one
+    factor family in x, which products._times_family applies by Euler's sum
+    to one dense list f, starting from 1 + z = 1 + x.
 
-    Bound on |k|: a term takes 1 or z from the prefactor and i net factors
-    z^(+-2) of one sign, costing at least 2 + 6 + ... + (4i-2) = 2i^2, and j
-    net factors z^(+-1), costing at least 2 + 4 + ... + 2j = j(j+1); so
-    |k| <= 1 + 2i + j with 2i^2 + j(j+1) <= e.  K is the largest such |k| over
-    e <= top, and W = 2K + 1.
+    Bound on |k|: a term q^e z^k takes 1 or z from the prefactor and i net
+    factors z^(+-2) of one sign, costing at least 2 + 6 + ... + (4i-2) = 2i^2,
+    and j net factors z^(+-1), costing at least 2 + 4 + ... + 2j = j(j+1); so
+    |k| <= 1 + 2i + j with 2i^2 + j(j+1) <= e.  K is the largest such |k|
+    over e <= top, top = 2*half (not ceil(order)), and W = 2K + 1.
 
-    Decoding: f is kept below L = top*W - K.  A term with e < top has
-    |k| <= K, so it lands below L, and since W > 2K, x^(eW+k) is the e-th
-    entry of layer k's stride-W slice of f and of no other term's.  A term
-    with e = top + t lands at or above L: at t = 0 because k >= -K; past it,
-    dropping a net factor lowers 2i^2 + j(j+1) by at least 2 and 2i + j by
-    at most 2, so |k| <= K + t + 1 and eW + k >= L + 2Kt - 1 >= L.  The
-    layers are exact below the order, which they certify; the result is
-    clipped to the window, and its floor metadata is the identity's layer
-    support.
+    Decoding: f is kept below L = half*W - K.  A term with E < half has
+    |k| <= K, so it lands below L, and since W > 2K, x^(EW+k) is the E-th
+    entry of layer k's stride-W slice of f and of no other term's: the
+    coefficient of q^(2E).  A term with E = half + t lands at or above L: at
+    t = 0 because e = top gives k >= -K; past it, e = top + 2t and dropping a
+    net factor lowers 2i^2 + j(j+1) by at least 2 and 2i + j by at most 2, so
+    |k| <= K + 2t and EW + k >= L + (2K-1)t.  The layers are exact below the
+    order, which they certify; the result is clipped to the window, and its
+    floor metadata is the identity's layer support.
     """
     o = _frac(q_order)
-    top = _ceil(o)
-    if top <= 0:
+    half = -(-_ceil(o) // 2)
+    if half <= 0:
         return bivariate_from_layers({}, window, o, QUINTUPLE_FLOOR)
-    K = 1 + max(2 * i + (isqrt(4 * (top - 2 * i * i) + 1) - 1) // 2 for i in range(isqrt(top // 2) + 1))
+    K = 1 + max(2 * i + (isqrt(8 * (half - i * i) + 1) - 1) // 2 for i in range(isqrt(half) + 1))
     W = 2 * K + 1
-    f = [1, 1] + [0] * (top * W - K - 2)
-    # (1 - s*q^(e + step*n)*z^dz) for n >= 0, as (1 - s*x^(eW + dz + step*W*n))
-    for s, e, dz, step in ((1, 2, 0, 2), (-1, 2, 1, 2), (-1, 2, -1, 2), (1, 2, 2, 4), (1, 2, -2, 4)):
+    f = [1, 1] + [0] * (half * W - K - 2)
+    # (1 - s*Q^(e + step*n)*z^dz) for n >= 0, as (1 - s*x^(eW + dz + step*W*n))
+    for s, e, dz, step in ((1, 1, 0, 1), (-1, 1, 1, 1), (-1, 1, -1, 1), (1, 1, 2, 2), (1, 1, -2, 2)):
         f = _times_family(f, s, e * W + dz, step * W, True)
     zmin, zmax = window
     layers = {}
     for k in range(max(zmin, -K), min(zmax, K) + 1):
-        column = f[k % W :: W]  # e = 0, 1, ... for k >= 0 and e = 1, 2, ... for k < 0
-        exps = [e for e, c in enumerate(column, -(k // W)) if c]
+        column = f[k % W :: W]  # E = 0, 1, ... for k >= 0 and E = 1, 2, ... for k < 0
+        exps = [2 * e for e, c in enumerate(column, -(k // W)) if c]
         layers[k] = _from_grid(1, exps, [c for c in column if c], 1, o)
     return bivariate_from_layers(layers, window, o, QUINTUPLE_FLOOR)
 

@@ -42,6 +42,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
 
+# exit 2 with one line; a verify-all record that raises one is named in it
+_ERRORS = (OSError, RecursionError, ValueError, EmptySeriesError, GradingError)
+
 _ORDER_RE = re.compile(r"-?\d+(?:/0*[1-9]\d*)?$")
 
 
@@ -211,11 +214,16 @@ def _run_verify(cmd: Command) -> int:
 
 
 def _run_verify_all(cmd: Command) -> int:
-    records = _load(cmd)
-    reports = [check_record(record, cmd.order) for record in records]
-    for report in reports:
-        print(_report_json(report) if cmd.machine else _report_text(report))
-    return _status_exit([r.status for r in reports])
+    statuses = []
+    for record in _load(cmd):
+        try:
+            report = check_record(record, cmd.order)
+        except _ERRORS as exc:
+            print(f"error: {record.id}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        print(_report_json(report) if cmd.machine else _report_text(report), flush=True)
+        statuses.append(report.status)
+    return _status_exit(statuses)
 
 
 def _run_discover(cmd: Command) -> int:
@@ -249,7 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return execute(cmd)
-    except (OSError, RecursionError, ValueError, EmptySeriesError, GradingError) as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

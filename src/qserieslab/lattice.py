@@ -125,7 +125,7 @@ _RECIPROCAL_PHI_SQUARED = ProductSpec((ProductFactor(1, Fraction(1), Fraction(1)
 
 
 @_highest_order_memo
-def fkw_character(order: Rational, *, window_margin: int = 0) -> PuiseuxSeries:
+def fkw_character(order: Rational) -> PuiseuxSeries:
     """Lattice-sum vacuum character of the simple affine W-algebra at c = 4/5.
 
     q^(-1/12) * (q)_inf^(-2) * sum over (m, n) in Z^2 and the Weyl group of
@@ -135,15 +135,14 @@ def fkw_character(order: Rational, *, window_margin: int = 0) -> PuiseuxSeries:
     (w, n) is the quadratic 20m^2 + (2sy - vx)m + (vx^2 - vx*sy + sy^2)/20 in
     m, so each (w, n) is one branch of a single theta_sum over m, which is
     exact in m.  The only bound is the n-window, from |20n*alpha1 + 20m*alpha2|
-    >= 20|n| and |5w(rho)-4rho| < 13.  `window_margin` widens it for
-    stability checks.
+    >= 20|n| and |5w(rho)-4rho| < 13.
     """
     o = _frac(order)
     prefactor = Fraction(-1, 12)
     oshift = o - prefactor
     if oshift <= 0:
         return PuiseuxSeries(1, o, ())
-    bound = (isqrt(_ceil(40 * (oshift + 2))) + 33) // 20 + 1 + window_margin
+    bound = (isqrt(_ceil(40 * (oshift + 2))) + 33) // 20 + 1
     branches = []
     for w in weyl_group():
         shifted = w.apply(RHO).scaled(5) - RHO.scaled(4)

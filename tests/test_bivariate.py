@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from qserieslab import (
     specialize,
     theta_sum,
 )
+from qserieslab import bivariate
 from qserieslab.bivariate import (
     COMPLETE_SUPPORT,
     QUINTUPLE_FLOOR,
@@ -24,6 +26,7 @@ from qserieslab.bivariate import (
     bivariate_theta,
 )
 from qserieslab.products import ProductFactor, ProductSpec
+from qserieslab.products import _times_family as times_family
 from qserieslab.lattice import ThetaBranch, ThetaSumSpec
 from oracles import quintuple_product_layers
 
@@ -81,13 +84,38 @@ class TestQuintupleRHSOracle:
     # z-bound shows; orders <= 0 have no terms at all
     @pytest.mark.parametrize("window", [(-6, 6), (-25, 25), (-3, 10), (-60, 60), (5, 9), (-9, -5)])
     @pytest.mark.parametrize(
-        "order", [F(8), F(37, 2), F(1308, 5), F(240), F(0), F(-2), F(1, 2), F(1), F(2), F(3)]
+        "order",
+        [F(8), F(37, 2), F(1308, 5), F(240), F(0), F(-2), F(1, 2), F(1), F(2), F(3), F(99), F(101), F(1307, 5)],
     )
     def test_matches_brute_force_product(self, order, window):
         rhs = quintuple_rhs(order, window)
         assert (rhs.order, rhs.zmin, rhs.zmax) == (order, *window)
         layers = {k: dict(layer.terms) for k, layer in rhs.layers}
         assert layers == quintuple_product_layers(order, window)
+
+
+class TestQuintupleRHSLayout:
+    # Every q-exponent is even, so the product is laid out in Q = q^2: a list
+    # of half*W - K slots, half = ceil(ceil(o)/2), with K the z-bound at the
+    # even top 2*half and every family's stride a multiple of W = 2K + 1.
+    @pytest.mark.parametrize("order", [F(1, 2), F(1), F(2), F(3), F(37, 2), F(99), F(101), F(1307, 5)])
+    def test_q_squared_layout(self, monkeypatch, order):
+        calls = []
+
+        def spy(f, s, a, d, euler):
+            calls.append((len(f), d))
+            return times_family(f, s, a, d, euler)
+
+        monkeypatch.setattr(bivariate, "_times_family", spy)
+        quintuple_rhs(order, (-6, 6))
+        half = -(-math.ceil(order) // 2)
+        # |k| <= 1 + 2i + j for i net factors z^(+-2) and j net factors z^(+-1),
+        # which cost at least 2i^2 + j(j+1) <= 2*half
+        pairs = [(i, j) for i in range(half + 1) for j in range(2 * half + 1)]
+        K = max(1 + 2 * i + j for i, j in pairs if 2 * i * i + j * (j + 1) <= 2 * half)
+        W = 2 * K + 1
+        assert len(calls) == 5
+        assert all(size == half * W - K and d % W == 0 for size, d in calls)
 
 
 class TestBivariateTheta:

@@ -292,8 +292,19 @@ class TestMainUsage:
         path = tmp_path / "inv.registry"
         path.write_text("X | 1 | inv(mono(1,3)) * mono(1,3) | mono(1,0)\n")
         code, out, err = run(capsys, "verify-all", "--registry", str(path), "--order", "2")
-        assert (code, out, err) == (2, "", "error: cannot invert: no term found below q^2\n")
+        assert (code, out, err) == (2, "", "error: X: cannot invert: no term found below q^2\n")
         assert run(capsys, "verify-all", "--registry", str(path), "--order", "10")[0] == 0
+
+    def test_error_names_its_record_after_the_reports_before_it(self, tmp_path):
+        # stdout and stderr share one pipe, so a report still buffered would follow the error
+        path = tmp_path / "two.registry"
+        path.write_text("A | 10 | rr:1 | rr:1\nB | 10 | inv(rr:1 - rr:1) | rr:1\nC | 10 | rr:2 | rr:2\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(qserieslab.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [sys.executable, "-m", "qserieslab.cli", "verify-all", "--registry", str(path)]
+        done = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+        assert done.returncode == 2
+        assert done.stdout == "A PASS order=50/1\nerror: B: cannot invert: no term found below q^50\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -21,6 +21,7 @@ from qserieslab import (
     theta_sum,
     weyl_group,
 )
+from qserieslab import lattice
 from qserieslab.series import monomial
 from oracles import fkw_offsets, pentagonal_sum
 
@@ -99,8 +100,27 @@ class TestFkwCharacter:
         chars = minimal_char(CharLabel(5, 6, 1, 1), F(50)) + minimal_char(CharLabel(5, 6, 1, 5), F(50))
         assert compare(fk, chars, 50) is None
 
-    def test_window_enlargement_stability(self):
-        assert fkw_character(F(25)) == fkw_character(F(25), window_margin=2)
+    @pytest.mark.parametrize("order", [F(1, 2), F(97, 6), F(25), F(-1, 30) + 40, F(200)])
+    def test_no_lattice_point_outside_the_n_window_is_below_the_order(self, monkeypatch, order):
+        specs = []
+
+        def spy(spec, o):
+            specs.append(spec)
+            return theta_sum(spec, o)
+
+        monkeypatch.setattr(lattice, "theta_sum", spy)
+        fkw_character.cache_clear()
+        fkw_character(order)
+        # one branch per Weyl element and n in [-bound, bound]
+        (spec,) = specs
+        bound = (len(spec.branches) // len(weyl_group()) - 1) // 2
+        shifted_order = order + F(1, 12)
+        for w in weyl_group():
+            for n in (bound + 1, bound + 2, bound + 3, -bound - 1, -bound - 2, -bound - 3):
+                # |n*alpha1 + m*alpha2|^2 = n^2 + m^2 + (n - m)^2 only grows for |m| past 3|n| + 3
+                for m in range(-3 * abs(n) - 3, 3 * abs(n) + 4):
+                    v = w.apply(RHO).scaled(5) + ALPHA1.scaled(20 * n) + ALPHA2.scaled(20 * m) - RHO.scaled(4)
+                    assert gram(v, v) / 40 >= shifted_order
 
     @pytest.mark.parametrize("steps", [12, 40])
     def test_against_lattice_oracle(self, steps):

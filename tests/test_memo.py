@@ -41,10 +41,6 @@ MEMOISED = {
     "a22:2L1": (characters.a22_char, lambda o: characters.a22_char(A22Module.TWO_LAMBDA1, o)),
     "a22:L0": (characters.a22_char, lambda o: characters.a22_char(A22Module.LAMBDA0, o)),
     "fkw_character": (lattice.fkw_character, lambda o: lattice.fkw_character(o)),
-    "fkw_character(window_margin=1)": (
-        lattice.fkw_character,
-        lambda o: lattice.fkw_character(o, window_margin=1),
-    ),
     "euler_phi": (products.euler_phi, lambda o: products.euler_phi(o)),
     "expand_product": (
         products.expand_product,
