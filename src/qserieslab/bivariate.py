@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .products import _times_family
 from .series import (
@@ -26,13 +26,12 @@ from .series import (
     Rational,
     SeriesError,
     _ceil,
+    _combine as _combine_series,
     _frac,
     _from_grid,
     _shift,
-    add,
     compare,
     monomial,
-    sub,
     substitute,
     truncate,
     zero,
@@ -233,7 +232,7 @@ def bivariate_theta(
     o = _frac(q_order)
     zmin, zmax = window
     spread = max(abs(zmin), abs(zmax))
-    layers: dict[int, PuiseuxSeries] = {}
+    terms: dict[int, list[tuple[PuiseuxSeries, int]]] = {}
     normalized = []
     for sigma, a, b, c, e_step, f_off in branches:
         a, b, c = _frac(a), _frac(b), _frac(c)
@@ -246,8 +245,8 @@ def bivariate_theta(
             if not zmin <= k <= zmax:
                 continue
             exponent = a * m * m + b * m + c
-            term = monomial(sigma, exponent, exponent.denominator, o)
-            layers[k] = add(layers.get(k, zero(o)), term)
+            terms.setdefault(k, []).append((monomial(sigma, exponent, exponent.denominator, o), 1))
+    layers = {k: _combine_series(parts) for k, parts in terms.items()}
     return bivariate_from_layers(layers, window, o, _theta_floor(normalized))
 
 
@@ -275,24 +274,27 @@ def _theta_floor(branches: list) -> Optional[LayerFloor]:
 
 
 def add_bivariate(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
-    return _combine(a, b, add)
+    return _combine([(a, 1), (b, 1)])
 
 
 def sub_bivariate(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
-    return _combine(a, b, sub)
+    return _combine([(a, 1), (b, -1)])
 
 
-def _combine(
-    a: BivariateSeries, b: BivariateSeries, op: Callable[[PuiseuxSeries, PuiseuxSeries], PuiseuxSeries]
-) -> BivariateSeries:
-    """op(a, b) layer by layer; the floor survives only when both agree."""
-    if (a.zmin, a.zmax) != (b.zmin, b.zmax):
+def _combine(parts: Sequence[tuple[BivariateSeries, int]]) -> BivariateSeries:
+    """The sum of sign*b over one or more (b, sign) parts on one z-window,
+    each layer one series._combine of the parts that hold it, certified to
+    the least of their orders; the floor survives only when all agree."""
+    first = parts[0][0]
+    if any((b.zmin, b.zmax) != (first.zmin, first.zmax) for b, _ in parts):
         raise ValueError("bivariate addition requires identical z-windows")
-    la, lb = dict(a.layers), dict(b.layers)
-    za, zb = zero(a.order), zero(b.order)
-    layers = {k: op(la.get(k, za), lb.get(k, zb)) for k in la.keys() | lb.keys()}
-    floor = a.floor if a.floor == b.floor else None
-    return bivariate_from_layers(layers, (a.zmin, a.zmax), min(a.order, b.order), floor)
+    by_layer: dict[int, list[tuple[PuiseuxSeries, int]]] = {}
+    for b, sign in parts:
+        for k, layer in b.layers:
+            by_layer.setdefault(k, []).append((layer, sign))
+    layers = {k: _combine_series(layer_parts) for k, layer_parts in by_layer.items()}
+    floor = first.floor if all(b.floor == first.floor for b, _ in parts) else None
+    return bivariate_from_layers(layers, (first.zmin, first.zmax), min(b.order for b, _ in parts), floor)
 
 
 def compare_bivariate(a: BivariateSeries, b: BivariateSeries, order: Rational) -> Optional[Mismatch]:
@@ -334,10 +336,8 @@ def specialize(
     certified = r * b.order + edge * w
     if excluded is not None:
         certified = min(certified, excluded)
-    out = zero(certified)
-    for k, layer in b.layers:
-        out = add(out, _shift(substitute(layer, r), k * w))
-    return out
+    shifted = [(_shift(substitute(layer, r), k * w), 1) for k, layer in b.layers]
+    return _combine_series([(zero(certified), 1), *shifted])
 
 
 def _excluded_floor(

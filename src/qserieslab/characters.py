@@ -19,12 +19,11 @@ from .products import ProductFactor, ProductSpec, expand_product
 from .series import (
     PuiseuxSeries,
     Rational,
+    _combine,
     _frac,
     _highest_order_memo,
     _shift,
-    add,
     mul,
-    sub,
     substitute,
     substitute_signed,
     truncate,
@@ -248,10 +247,7 @@ def twisted_trace(module: WModule, epsilon: int, order: Rational) -> PuiseuxSeri
 
 
 def _signed_combo(parts: tuple[tuple[int, int, int], ...], order: Fraction) -> PuiseuxSeries:
-    total = zero(order)
-    for sign, m, n in parts:
-        total = (add if sign > 0 else sub)(total, _minimal_char(5, 6, m, n, order))
-    return total
+    return _combine([(zero(order), 1)] + [(_minimal_char(5, 6, m, n, order), sign) for sign, m, n in parts])
 
 
 def lowest_weight_from_char(f: PuiseuxSeries, c: Rational) -> Fraction:

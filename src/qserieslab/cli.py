@@ -2,12 +2,14 @@
 linear relations.
 
 Exit status: 0 on success or all-PASS, 1 when a verification finds a
-mismatch, 2 on usage errors, unknown names or ids and malformed inputs
-(a zero denominator or substitution exponent, a zero series under inv,
-a signed substitution of a series whose exponent steps are not integers,
-a registry path that cannot be read, such as a directory, or an expression
-nested too deeply to parse or evaluate), 3 when an order or window is
-insufficient.  Results go to stdout, diagnostics to stderr.
+mismatch, 2 on usage errors, unknown names or ids, malformed inputs (a
+zero denominator or substitution exponent, a zero series under inv, a
+signed substitution of a series whose exponent steps are not integers, a
+registry path that cannot be read, such as a directory, or an expression
+nested too deeply to parse or evaluate; flat chains of + and * of any
+length are not nested) and running out of memory, 3 when an order or
+window is insufficient.  Results go to stdout, diagnostics to stderr: a
+registry error names its line, a verify-all error its record.
 """
 
 from __future__ import annotations
@@ -43,7 +45,12 @@ EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
 
 # exit 2 with one line; a verify-all record that raises one is named in it
-_ERRORS = (OSError, RecursionError, ValueError, EmptySeriesError, GradingError)
+_ERRORS = (OSError, RecursionError, ValueError, EmptySeriesError, GradingError, MemoryError)
+
+
+def _message(exc: Exception) -> str:
+    return "out of memory" if isinstance(exc, MemoryError) else str(exc)
+
 
 _ORDER_RE = re.compile(r"-?\d+(?:/0*[1-9]\d*)?$")
 
@@ -219,7 +226,7 @@ def _run_verify_all(cmd: Command) -> int:
         try:
             report = check_record(record, cmd.order)
         except _ERRORS as exc:
-            print(f"error: {record.id}: {exc}", file=sys.stderr)
+            print(f"error: {record.id}: {_message(exc)}", file=sys.stderr)
             return EXIT_USAGE
         print(_report_json(report) if cmd.machine else _report_text(report), flush=True)
         statuses.append(report.status)
@@ -258,10 +265,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return execute(cmd)
     except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -315,24 +315,24 @@ def _highest_order_memo(fn: Callable[..., PuiseuxSeries]) -> Callable[..., Puise
 
 
 def add(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    return _combine(a, b, 1)
+    return _combine([(a, 1), (b, 1)])
 
 
 def sub(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    return _combine(a, b, -1)
+    return _combine([(a, 1), (b, -1)])
 
 
-def _combine(a: PuiseuxSeries, b: PuiseuxSeries, sign: int) -> PuiseuxSeries:
-    """a + sign*b, exact below min(O_a, O_b), summed on the exponent
-    numerators over lcm(D_a, D_b) and the coefficient numerators over
-    lcm(den_a, den_b)."""
-    grid, den = lcm(a.grading, b.grading), lcm(a.den, b.den)
-    out = dict(zip(_times(a.exps, grid // a.grading), _times(a.nums, den // a.den)))
-    for k, c in zip(_times(b.exps, grid // b.grading), _times(b.nums, sign * (den // b.den))):
-        s = out.get(k)
-        out[k] = c if s is None else s + c
+def _combine(parts: Sequence[tuple[PuiseuxSeries, int]]) -> PuiseuxSeries:
+    """The sum of sign*s over one or more (s, sign) parts, exact below the
+    least of their orders, summed on the exponent numerators over the lcm of
+    the gradings and the coefficient numerators over the lcm of the dens."""
+    grid, den = lcm(*(s.grading for s, _ in parts)), lcm(*(s.den for s, _ in parts))
+    out: dict[int, int] = {}
+    for s, sign in parts:
+        for k, c in zip(_times(s.exps, grid // s.grading), _times(s.nums, sign * (den // s.den))):
+            out[k] = out.get(k, 0) + c
     exps = sorted(k for k, c in out.items() if c)
-    return _from_grid(grid, exps, [out[k] for k in exps], den, min(a.order, b.order))
+    return _from_grid(grid, exps, [out[k] for k in exps], den, min(s.order for s, _ in parts))
 
 
 def _shift(a: PuiseuxSeries, h: Fraction) -> PuiseuxSeries:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
@@ -34,15 +34,14 @@ from .series import (
     PuiseuxSeries,
     Rational,
     SeriesError,
+    _combine,
     _frac,
     _parse_frac,
     _times,
-    add,
     compare,
     invert,
     monomial,
     mul,
-    sub,
     substitute,
     substitute_signed,
     truncate,
@@ -51,9 +50,8 @@ from .series import (
 __all__ = [
     "Expr",
     "Name",
-    "Add",
-    "Sub",
-    "Mul",
+    "Sum",
+    "Product",
     "Inv",
     "Subst",
     "SubstSigned",
@@ -108,21 +106,13 @@ class Name(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class Sum(Expr):
+    terms: tuple[tuple[int, Expr], ...]  # (sign +-1, term)
 
 
 @dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Product(Expr):
+    factors: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
@@ -190,39 +180,41 @@ Value = Union[PuiseuxSeries, bv.BivariateSeries]
 def evaluate(expr: Expr, order: Rational) -> Value:
     """Evaluate an expression tree, certified to at least `order`.
 
-    Every node asks its children for the range it will lose.  A product asks
-    each factor for max(o - _negative_lead(other), 0), so mul's bound
-    min(O_a + lead(b), O_b + lead(a)) reaches o (an empty factor's lead is
-    bounded by 0); when a probe raised, it asks once more with the leads
-    the factors showed.  An inversion asks for max(o, 1), to see a lead h
-    below 1 (EmptySeriesError if it shows no term), then for o + 2h.  A
+    Every node asks its children for the range it will lose.  A sum asks
+    each term for o and adds them in one n-way combine.  A product probes
+    each factor once for l_i = _negative_lead(factor i) <= 0, asks factor i
+    for max(o - sum of l_j over j != i, 0) and multiplies left to right.
+    Each value leads at or above l_i (an empty one, certified to at least 0,
+    is bounded by 0).  By induction on k, through mul's bound
+    min(O_a + lead(b), O_b + lead(a)), the product P_k of the first k
+    factors leads at or above L_k = l_1 + ... + l_k and is certified to at
+    least o - (l_(k+1) + ... + l_n) and to L_k, which bounds the lead of an
+    empty P_k; so P_n reaches o.  When a probe raised, the product asks once
+    more with the leads the factors showed.
+
+    An inversion asks for max(o, 1), to see a lead h below 1
+    (EmptySeriesError if it shows no term), then for o + 2h.  A
     specialization widens the window of every two-variable leaf under it,
-    through sums and differences, to the smallest symmetric one (never
-    narrower) whose excluded layers reach o, by the floor of an order-0
-    probe, and asks for (o - edge*w)/r.  Without a floor it raises
-    InsufficientWindowError.
+    through sums, to the smallest symmetric one (never narrower) whose
+    excluded layers reach o, by the floor of an order-0 probe, and asks for
+    (o - edge*w)/r.  Without a floor it raises InsufficientWindowError.
+    Sums and products loop over their chains; only nesting recurses.
     """
     o = _frac(order)
     if isinstance(expr, Name):
         return named_series(expr.name, o)
-    if isinstance(expr, (Add, Sub)):
-        lhs, rhs = evaluate(expr.left, o), evaluate(expr.right, o)
-        scalar = isinstance(lhs, PuiseuxSeries)
-        if scalar != isinstance(rhs, PuiseuxSeries):
+    if isinstance(expr, Sum):
+        parts = [(evaluate(term, o), sign) for sign, term in expr.terms]
+        kinds = {type(value) for value, _ in parts}
+        if len(kinds) > 1:
             raise EvaluationError("cannot mix one- and two-variable series in a sum")
-        if scalar:
-            return add(lhs, rhs) if isinstance(expr, Add) else sub(lhs, rhs)
-        return bv.add_bivariate(lhs, rhs) if isinstance(expr, Add) else bv.sub_bivariate(lhs, rhs)
-    if isinstance(expr, Mul):
-        lhs = evaluate(expr.left, max(o - _negative_lead(expr.right), 0))
-        rhs = evaluate(expr.right, max(o - _negative_lead(expr.left), 0))
-        if not (isinstance(lhs, PuiseuxSeries) and isinstance(rhs, PuiseuxSeries)):
-            raise EvaluationError("products of two-variable series are not supported")
-        product = mul(lhs, rhs)
+        return _combine(parts) if PuiseuxSeries in kinds else bv._combine(parts)
+    if isinstance(expr, Product):
+        leads = [_negative_lead(factor) for factor in expr.factors]
+        values = _factor_values(expr.factors, leads, o)
+        product = reduce(mul, values)
         if product.order < o:  # a probe raised; the factors now show their leads
-            left = evaluate(expr.left, max(o - _unit_lead(rhs), 0))
-            rhs = evaluate(expr.right, max(o - _unit_lead(lhs), 0))
-            product = mul(left, rhs)
+            product = reduce(mul, _factor_values(expr.factors, [_unit_lead(v) for v in values], o))
         return product
     if isinstance(expr, Inv):
         request = max(o, 1)
@@ -266,11 +258,20 @@ def evaluate(expr: Expr, order: Rational) -> Value:
     raise EvaluationError(f"unknown expression node {expr!r}")
 
 
+def _factor_values(factors: Sequence[Expr], leads: Sequence[int], o: Fraction) -> list[PuiseuxSeries]:
+    """Each factor evaluated to max(o - the other factors' leads, 0)."""
+    total = sum(leads)
+    values = [evaluate(factor, max(o - (total - lead), 0)) for factor, lead in zip(factors, leads)]
+    if not all(isinstance(value, PuiseuxSeries) for value in values):
+        raise EvaluationError("products of two-variable series are not supported")
+    return values
+
+
 def _widened(expr: Expr, zmin: int, zmax: int) -> Expr:
-    """expr with the window of every two-variable leaf under its sums and
-    differences stretched to cover [zmin, zmax], never narrowed."""
-    if isinstance(expr, (Add, Sub)):
-        return replace(expr, left=_widened(expr.left, zmin, zmax), right=_widened(expr.right, zmin, zmax))
+    """expr with the window of every two-variable leaf under its sums
+    stretched to cover [zmin, zmax], never narrowed."""
+    if isinstance(expr, Sum):
+        return Sum(tuple((sign, _widened(term, zmin, zmax)) for sign, term in expr.terms))
     if isinstance(expr, (QuintupleLHS, QuintupleRHS, BivariateThetaExpr)):
         return replace(expr, zmin=min(expr.zmin, zmin), zmax=max(expr.zmax, zmax))
     return expr
@@ -285,7 +286,7 @@ def _negative_lead(expr: Expr) -> int:
     they share the highest-order memos.  A probe that raises gives 0; the
     product then asks again, or the full evaluation raises the real error.
     Each subtree is probed once: a probe of a product probes its factors
-    again, so unmemoised an n-factor product costs about 2^(n+1) evaluations.
+    again, so unmemoised products nested n deep cost about 2^n evaluations.
     """
     try:
         return _unit_lead(evaluate(expr, 0))
@@ -470,8 +471,8 @@ def registry() -> tuple[IdentityRecord, ...]:
     zmin, zmax = _WINDOW
     q_lhs = QuintupleLHS(zmin, zmax)
     q_rhs = QuintupleRHS(zmin, zmax)
-    chain_l = Mul(Mono(Fraction(1), Fraction(3, 2)), Specialize(q_lhs, Fraction(5, 2), Fraction(-3, 2)))
-    chain_r = Mul(Mono(Fraction(1), Fraction(3, 2)), Specialize(q_rhs, Fraction(5, 2), Fraction(-3, 2)))
+    chain_l = Product((Mono(Fraction(1), Fraction(3, 2)), Specialize(q_lhs, Fraction(5, 2), Fraction(-3, 2))))
+    chain_r = Product((Mono(Fraction(1), Fraction(3, 2)), Specialize(q_rhs, Fraction(5, 2), Fraction(-3, 2))))
     records.extend(
         [
             IdentityRecord("QPI", q_lhs, q_rhs, _DEFAULT_ORDER),
@@ -482,9 +483,8 @@ def registry() -> tuple[IdentityRecord, ...]:
             IdentityRecord("SPECIALIZE-R", chain_r, ProductExpr(_EASY_PRODUCT), _DEFAULT_ORDER),
             IdentityRecord(
                 "APPENDIX-DISPLAY",
-                Mul(
-                    Mul(Mono(Fraction(1), Fraction(11, 120)), ThetaExpr(_WANTED_THETA)),
-                    Inv(ProductExpr(_PHI_PRODUCT)),
+                Product(
+                    (Mono(Fraction(1), Fraction(11, 120)), ThetaExpr(_WANTED_THETA), Inv(ProductExpr(_PHI_PRODUCT)))
                 ),
                 parse_expression("chi:5,6,1,2 + chi:5,6,1,4"),
                 _DEFAULT_ORDER,
@@ -667,21 +667,18 @@ class _ExprParser:
         return _parse_frac(self._take("number"))
 
     def _expr(self) -> Expr:
-        node = self._term()
-        while True:
-            tok = self._peek()
-            if tok not in (("punct", "+"), ("punct", "-")):
-                return node
+        terms = [(1, self._term())]
+        while (tok := self._peek()) in (("punct", "+"), ("punct", "-")):
             self.pos += 1
-            rhs = self._term()
-            node = Add(node, rhs) if tok[1] == "+" else Sub(node, rhs)
+            terms.append((1 if tok[1] == "+" else -1, self._term()))
+        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
 
     def _term(self) -> Expr:
-        node = self._factor()
+        factors = [self._factor()]
         while self._peek() == ("punct", "*"):
             self.pos += 1
-            node = Mul(node, self._factor())
-        return node
+            factors.append(self._factor())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def _factor(self) -> Expr:
         tok = self._peek()
@@ -721,7 +718,8 @@ class _ExprParser:
 
 def parse_expression(text: str) -> Expr:
     """Parse the line grammar: names, e+e, e-e, e*e, inv(e), sub(e,r),
-    subsigned(e,r), mono(c,e), with parentheses allowed."""
+    subsigned(e,r), mono(c,e), with parentheses allowed.  A chain of + and -
+    is one flat Sum, a chain of * one flat Product; * binds tighter."""
     return _ExprParser(text).parse()
 
 
@@ -742,14 +740,11 @@ def parse_registry_text(text: str) -> list[IdentityRecord]:
             order = Fraction(order_text)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: bad order {order_text!r}") from None
-        records.append(
-            IdentityRecord(
-                rec_id,
-                parse_expression(lhs_text),
-                parse_expression(rhs_text),
-                order,
-            )
-        )
+        try:
+            lhs, rhs = parse_expression(lhs_text), parse_expression(rhs_text)
+        except (RecursionError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        records.append(IdentityRecord(rec_id, lhs, rhs, order))
     return records
 
 

@@ -275,7 +275,6 @@ class TestMainUsage:
             "X | 10 | subsigned(rr:1,0) | rr:1",
             "X | 10 | inv(rr:1 - rr:1) | rr:1",
             "X | 50 | subsigned(chi:2,5,1,1@q^1/2, 1) | rr:1",
-            pytest.param("X | 5 | " + " + ".join(["rr:1"] * 1500) + " | rr:1", id="sum-of-1500-terms"),
             pytest.param("X | 5 | " + "(" * 1200 + "rr:1" + ")" * 1200 + " | rr:1", id="1200-nested-parentheses"),
         ],
     )
@@ -286,6 +285,39 @@ class TestMainUsage:
         assert code == 2
         assert not out
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param("B | 10 | rr:1 + | rr:1", "unexpected end of expression", id="unexpected-end"),
+            pytest.param(
+                "B | 5 | " + "(" * 1200 + "rr:1" + ")" * 1200 + " | rr:1",
+                "maximum recursion depth exceeded",
+                id="1200-nested-parentheses",
+            ),
+        ],
+    )
+    def test_registry_expression_error_names_its_line(self, capsys, tmp_path, line, message):
+        path = tmp_path / "bad.registry"
+        path.write_text(f"# comment\nA | 10 | rr:1 | rr:1\n{line}\n")
+        code, out, err = run(capsys, "verify-all", "--registry", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line 3: {message}")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(" + ".join(["rr:1"] * 1500) + " | mono(1500,0) * rr:1", id="sum-of-1500-terms"),
+            pytest.param(" + ".join(["rr:1"] * 10000) + " | mono(10000,0) * rr:1", id="sum-of-10000-terms"),
+            pytest.param("mono(1,0) * " * 1499 + "rr:1 | rr:1", id="product-of-1500-factors"),
+        ],
+    )
+    def test_flat_chain_passes(self, tmp_path, line):
+        # chains of + and * are flat nodes, evaluated without recursion
+        path = tmp_path / "flat.registry"
+        path.write_text(f"X | 5 | {line}\n")
+        assert run_alone("verify-all", "--registry", str(path)) == (0, "X PASS order=50/1\n", "")
 
     def test_inverse_with_no_term_below_its_request_is_not_called_zero(self, capsys, tmp_path):
         # inv asks mono(1,3) for q^2, below its only term; the series is not zero
@@ -334,10 +366,8 @@ def run_alone(*argv):
     return done.returncode, done.stdout, done.stderr
 
 
-@pytest.mark.skipif(resource is None, reason="no resource module")
-def test_out_of_memory_exits_two():
-    # rr:1 asked for order 5*10**9 lays out a dense list that long; the child
-    # limits its own address space to 1 GiB, so the allocation fails at once
+def run_in_one_gib(*argv):
+    """run_alone in a child that limits its own address space to 1 GiB."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -345,9 +375,23 @@ def test_out_of_memory_exits_two():
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(qserieslab.__file__).parents[1]))
-    argv = ["expand", "rr:1@q^1/100000000", "--order", "50"]
     done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
-    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.skipif(resource is None, reason="no resource module")
+def test_out_of_memory_exits_two():
+    # rr:1 asked for order 5*10**9 lays out a dense list that long, so under
+    # the child's limit the allocation fails at once
+    assert run_in_one_gib("expand", "rr:1@q^1/100000000", "--order", "50") == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.skipif(resource is None, reason="no resource module")
+def test_out_of_memory_in_verify_all_names_its_record(tmp_path):
+    path = tmp_path / "big.registry"
+    path.write_text("A | 10 | rr:1 | rr:1\nM | 50 | sub(rr:1, 1/100000000) | rr:1\n")
+    code, out, err = run_in_one_gib("verify-all", "--registry", str(path))
+    assert (code, out, err) == (2, "A PASS order=50/1\n", "error: M: out of memory\n")
 
 
 class TestSharedParser:

@@ -44,10 +44,11 @@ from qserieslab import (
     weyl_group,
     zero,
 )
-from qserieslab import cli, series
+from qserieslab import bivariate, cli, series
 from qserieslab.bivariate import (
     COMPLETE_SUPPORT,
     QUINTUPLE_FLOOR,
+    BivariateSeries,
     add_bivariate,
     bivariate_from_layers,
     quintuple_rhs,
@@ -286,6 +287,46 @@ def test_add_sub_match_dict_oracle(pair):
     a, b = pair
     assert add(a, b) == dict_combine(a, b, 1)
     assert sub(a, b) == dict_combine(a, b, -1)
+
+
+@st.composite
+def signed_parts(draw, parts_from):
+    """A first (part, sign) pair from `parts_from` and 0 to 6 more, each a
+    fresh draw or an earlier part with the opposite sign, so that parts
+    cancel, down to the empty series."""
+    parts = [(draw(parts_from), draw(st.sampled_from([1, -1])))]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            part, sign = draw(st.sampled_from(parts))
+            parts.append((part, -sign))
+        else:
+            parts.append((draw(parts_from), draw(st.sampled_from([1, -1]))))
+    return parts
+
+
+@given(signed_parts(graded_series()))
+@example([(zero(F(-7, 2), 2), -1)])
+@example([(monomial(3, F(1, 6), 6, 10), 1), (monomial(3, F(1, 6), 6, 10), -1)])
+def test_combine_matches_folded_dict_oracle(parts):
+    expected = zero(parts[0][0].order)
+    for part, sign in parts:
+        expected = dict_combine(expected, part, sign)
+    assert series._combine(parts) == expected
+
+
+@st.composite
+def bivariate_parts(draw):
+    window = (draw(st.integers(-5, 0)), draw(st.integers(0, 5)))
+    return draw(signed_parts(bivariate_series(window=window)))
+
+
+@given(bivariate_parts())
+def test_bivariate_combine_matches_folded_dict_oracle(parts):
+    first = parts[0][0]
+    expected = BivariateSeries(first.zmin, first.zmax, first.order, (), first.floor)
+    for part, sign in parts:
+        expected = dict_combine_bivariate(expected, part, sign)
+    assert bivariate._combine(parts) == expected
 
 
 theta_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -606,14 +647,19 @@ _characters = st.one_of(
 
 
 def grammar_products(inverses: bool):
-    """Product expressions nested two deep over the leaves above."""
+    """Flat product chains of 2 to 5 factors over the leaves above, where a
+    factor may be a parenthesised product or sum of two leaves."""
     leaf = st.one_of(_monos, _characters)
     if inverses:
         leaf = st.one_of(leaf, leaf.map("inv({})".format))
-    factor = st.one_of(leaf, st.builds("({} * {})".format, leaf, leaf))
+    factor = st.one_of(
+        leaf,
+        st.builds("({} * {})".format, leaf, leaf),
+        st.builds("({} {} {})".format, leaf, st.sampled_from("+-"), leaf),
+    )
     if inverses:
         factor = st.one_of(factor, factor.map("inv({})".format))
-    return st.builds("{} * {}".format, factor, factor)
+    return st.lists(factor, min_size=2, max_size=5).map(" * ".join)
 
 
 small_orders = st.fractions(min_value=1, max_value=8, max_denominator=6)
@@ -638,6 +684,7 @@ _edge_orders = st.one_of(st.sampled_from([F(-3), F(-1, 2), F(0), F(1, 3)]), smal
 # product learns that lead only from a first evaluation of its factors
 @example("inv(mono(1,3)) * mono(1,3)", F(50))
 @example("inv(mono(1,3)) * mono(1,-2)", F(2))
+@example("mono(1,-7/3) * inv(mono(1,3)) * (a22:L0 - mono(-2,-1/2)) * inv(a22:2L1) * (rr:1 * rr:2)", F(-3))
 def test_products_certify_their_request(text, order):
     try:
         value = evaluate(parse_expression(text), order)

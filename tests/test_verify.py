@@ -27,14 +27,14 @@ from qserieslab import (
 from qserieslab import verify
 from qserieslab.characters import WModule
 from qserieslab.verify import (
-    Add,
     BivariateThetaExpr,
     Mono,
     Name,
+    Product,
     QuintupleLHS,
     Specialize,
-    Sub,
     Subst,
+    Sum,
     evaluate,
     parse_registry_text,
 )
@@ -101,7 +101,7 @@ class TestCheck:
     def test_perturbed_record_fails_at_injected_exponent(self):
         base = next(r for r in registry() if r.id == "MIN-1")
         perturbed = IdentityRecord(
-            "MIN-1-BROKEN", base.lhs, Add(base.rhs, Mono(F(1), F(37))), F(50)
+            "MIN-1-BROKEN", base.lhs, Sum(((1, base.rhs), (1, Mono(F(1), F(37))))), F(50)
         )
         report = check_record(perturbed, 50)
         assert report.status is Status.FAIL
@@ -141,7 +141,7 @@ class TestCheck:
         # both terms of the sum widen past their +-25 window, which alone
         # certifies only 1089/2 < 600
         quintuple = QuintupleLHS(-25, 25)
-        chain = Specialize(Add(quintuple, quintuple), F(5, 2), F(-3, 2))
+        chain = Specialize(Sum(((1, quintuple), (1, quintuple))), F(5, 2), F(-3, 2))
         report = check_record(IdentityRecord("SUM-WINDOW", chain, chain, F(600)), 600)
         assert report.status is Status.PASS
         assert report.order_checked == 600
@@ -211,8 +211,8 @@ class TestRetryStop:
     def test_specialize_probe_bumps_sibling_by_its_lead(self, identity_id):
         # the order-0 probe sees the lead q^(-3/2), not the window edge's -75/2
         record = next(r for r in registry() if r.id == identity_id)
-        assert isinstance(record.lhs.right, Specialize)
-        assert verify._negative_lead(record.lhs.right) == -2
+        assert isinstance(record.lhs.factors[1], Specialize)
+        assert verify._negative_lead(record.lhs.factors[1]) == -2
 
 
 class TestProductChains:
@@ -364,12 +364,11 @@ def _assert_relation_sound(relation, columns, order):
 class TestExpressionGrammar:
     def test_precedence(self):
         expr = parse_expression("rr:1 + rr:2 * rr:1")
-        assert isinstance(expr, Add)
-        assert expr.left == Name("rr:1")
+        assert expr == Sum(((1, Name("rr:1")), (1, Product((Name("rr:2"), Name("rr:1"))))))
 
     def test_parentheses(self):
         expr = parse_expression("(rr:1 + rr:2) * rr:1")
-        assert isinstance(expr.left, Add)
+        assert expr == Product((Sum(((1, Name("rr:1")), (1, Name("rr:2")))), Name("rr:1")))
 
     def test_sub_function(self):
         expr = parse_expression("sub(chi:2,5,1,1, 1/2)")
@@ -385,9 +384,9 @@ class TestExpressionGrammar:
         assert expr == Mono(F(-3, 2), F(-1, 6))
 
     def test_difference_chain_left_associative(self):
+        # one flat chain, each sign applied to its own term, read left to right
         expr = parse_expression("rr:1 - rr:2 - fkw")
-        assert isinstance(expr, Sub)
-        assert isinstance(expr.left, Sub)
+        assert expr == Sum(((1, Name("rr:1")), (-1, Name("rr:2")), (-1, Name("fkw"))))
 
     @pytest.mark.parametrize(
         "bad",
