@@ -6,9 +6,13 @@ variable theta/product identity: a window of z-layers, each an exact
 PuiseuxSeries sharing one q-truncation order.
 
 Layers outside the window are in general unknown (clipped).  To let
-`specialize` certify a truncation order anyway, a series may carry quadratic
-floor metadata: for layers z^(M*m + r) every q-exponent is at least
-A*m^2 + B*m + C, and layers matching no residue are identically zero.
+`specialize` certify a truncation order anyway, a series may carry a floor:
+a tuple of FloorBranch(A, B, C, E, F), the same quadratic shape as a
+bivariate_theta branch.  Every term on a layer z^k has q-exponent at least
+A*m^2 + B*m + C for some branch with k = E*m + F, and layers that no branch
+hits are identically zero; () is complete support and None an unknown floor.
+Every constructor here attaches one, and sums keep the union of their
+parts' branches, so only a series built with floor=None has none.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .series import (
     _frac,
     _from_grid,
     _shift,
+    _sparse,
     compare,
     monomial,
     substitute,
@@ -39,8 +44,7 @@ from .series import (
 
 __all__ = [
     "BivariateSeries",
-    "LayerFloorBranch",
-    "LayerFloor",
+    "FloorBranch",
     "COMPLETE_SUPPORT",
     "QUINTUPLE_FLOOR",
     "InsufficientWindowError",
@@ -60,45 +64,34 @@ class InsufficientWindowError(SeriesError):
 
 
 @dataclass(frozen=True)
-class LayerFloorBranch:
-    residue: int
+class FloorBranch:
+    """Every term on layer z^(step*m + offset) has q-exponent at least
+    quad*m^2 + lin*m + const; where several branches of a floor hit one
+    layer, at least the least of their bounds."""
+
     quad: Fraction
     lin: Fraction
     const: Fraction
+    step: int
+    offset: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "quad", _frac(self.quad))
         object.__setattr__(self, "lin", _frac(self.lin))
         object.__setattr__(self, "const", _frac(self.const))
-        if self.quad <= 0:
-            raise ValueError("floor quadratic coefficient must be positive")
+        if self.quad <= 0 or self.step <= 0:
+            raise ValueError("need positive quadratic coefficient and z-step")
 
 
-@dataclass(frozen=True)
-class LayerFloor:
-    modulus: int
-    branches: tuple[LayerFloorBranch, ...]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("floor modulus must be positive")
-        for br in self.branches:
-            if not 0 <= br.residue < self.modulus:
-                raise ValueError(f"residue {br.residue} outside [0, {self.modulus})")
-
+# A floor: a tuple of branches, or None when nothing is known.
+Floor = Optional[tuple[FloorBranch, ...]]
 
 # No mass at all outside the stored window.
-COMPLETE_SUPPORT = LayerFloor(1, ())
+COMPLETE_SUPPORT: Floor = ()
 
 # The quintuple identity lives on layers z^(3m) and z^(3m+1) with minimal
 # q-exponents 3m^2 - m and 3m^2 + m.
-QUINTUPLE_FLOOR = LayerFloor(
-    3,
-    (
-        LayerFloorBranch(0, Fraction(3), Fraction(-1), Fraction(0)),
-        LayerFloorBranch(1, Fraction(3), Fraction(1), Fraction(0)),
-    ),
-)
+QUINTUPLE_FLOOR: Floor = (FloorBranch(3, -1, 0, 3, 0), FloorBranch(3, 1, 0, 3, 1))
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,7 @@ class BivariateSeries:
     zmax: int
     order: Fraction
     layers: tuple[tuple[int, PuiseuxSeries], ...]
-    floor: Optional[LayerFloor] = None
+    floor: Floor = None
 
     def __post_init__(self) -> None:
         if self.zmin > self.zmax:
@@ -133,7 +126,7 @@ def bivariate_from_layers(
     layers: Mapping[int, PuiseuxSeries],
     window: tuple[int, int],
     order: Rational,
-    floor: Optional[LayerFloor] = None,
+    floor: Floor = None,
 ) -> BivariateSeries:
     o = _frac(order)
     zmin, zmax = window
@@ -210,9 +203,8 @@ def quintuple_rhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
     zmin, zmax = window
     layers = {}
     for k in range(max(zmin, -K), min(zmax, K) + 1):
-        column = f[k % W :: W]  # E = 0, 1, ... for k >= 0 and E = 1, 2, ... for k < 0
-        exps = [2 * e for e, c in enumerate(column, -(k // W)) if c]
-        layers[k] = _from_grid(1, exps, [c for c in column if c], 1, o)
+        # layer k's slice holds E = 0, 1, ... for k >= 0 and E = 1, 2, ... for k < 0
+        layers[k] = _from_grid(1, *_sparse(f[k % W :: W], -2 * (k // W), 2), 1, o)
     return bivariate_from_layers(layers, window, o, QUINTUPLE_FLOOR)
 
 
@@ -226,51 +218,27 @@ def bivariate_theta(
     sum over m of sigma * q^(A m^2 + B m + C) * z^(E m + F)
     for each branch (sigma, A, B, C, E, F) with A > 0 and E > 0.
 
-    When the branches share one z-step E and hit distinct residues mod E, the
-    exact per-layer floor is attached automatically.
+    Each branch (A, B, C, E, F) is its own floor branch, so the floor is
+    exact on every layer a single branch hits and a lower bound where several
+    meet.
     """
     o = _frac(q_order)
     zmin, zmax = window
     spread = max(abs(zmin), abs(zmax))
     terms: dict[int, list[tuple[PuiseuxSeries, int]]] = {}
-    normalized = []
-    for sigma, a, b, c, e_step, f_off in branches:
-        a, b, c = _frac(a), _frac(b), _frac(c)
-        if a <= 0 or e_step <= 0:
-            raise ValueError("need positive quadratic coefficient and z-step")
-        normalized.append((sigma, a, b, c, e_step, f_off))
-        m_max = (spread + abs(f_off)) // e_step + 1
+    floor: dict[FloorBranch, None] = {}
+    for sigma, *shape in branches:
+        br = FloorBranch(*shape)
+        floor[br] = None
+        m_max = (spread + abs(br.offset)) // br.step + 1
         for m in range(-m_max, m_max + 1):
-            k = e_step * m + f_off
+            k = br.step * m + br.offset
             if not zmin <= k <= zmax:
                 continue
-            exponent = a * m * m + b * m + c
+            exponent = br.quad * m * m + br.lin * m + br.const
             terms.setdefault(k, []).append((monomial(sigma, exponent, exponent.denominator, o), 1))
     layers = {k: _combine_series(parts) for k, parts in terms.items()}
-    return bivariate_from_layers(layers, window, o, _theta_floor(normalized))
-
-
-def _theta_floor(branches: list) -> Optional[LayerFloor]:
-    steps = {e for _, _, _, _, e, _ in branches}
-    if len(steps) != 1:
-        return None
-    step = steps.pop()
-    seen: dict[int, LayerFloorBranch] = {}
-    for _, a, b, c, _, f_off in branches:
-        res = f_off % step
-        shift = (f_off - res) // step  # k = step*m + f = step*(m + shift) + res
-        floor_branch = LayerFloorBranch(res, a, b - 2 * a * shift, a * shift * shift - b * shift + c)
-        if res in seen:
-            prev = seen[res]
-            # two branches on one residue must give the same floor; else attach none
-            if (prev.quad, prev.lin, prev.const) != (
-                floor_branch.quad,
-                floor_branch.lin,
-                floor_branch.const,
-            ):
-                return None
-        seen[res] = floor_branch
-    return LayerFloor(step, tuple(seen[r] for r in sorted(seen)))
+    return bivariate_from_layers(layers, window, o, tuple(floor))
 
 
 def add_bivariate(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
@@ -284,7 +252,9 @@ def sub_bivariate(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
 def _combine(parts: Sequence[tuple[BivariateSeries, int]]) -> BivariateSeries:
     """The sum of sign*b over one or more (b, sign) parts on one z-window,
     each layer one series._combine of the parts that hold it, certified to
-    the least of their orders; the floor survives only when all agree."""
+    the least of their orders.  A term of the sum is a term of some part, so
+    the union of the parts' floor branches bounds it; the floor is unknown
+    only when some part's is."""
     first = parts[0][0]
     if any((b.zmin, b.zmax) != (first.zmin, first.zmax) for b, _ in parts):
         raise ValueError("bivariate addition requires identical z-windows")
@@ -293,7 +263,8 @@ def _combine(parts: Sequence[tuple[BivariateSeries, int]]) -> BivariateSeries:
         for k, layer in b.layers:
             by_layer.setdefault(k, []).append((layer, sign))
     layers = {k: _combine_series(layer_parts) for k, layer_parts in by_layer.items()}
-    floor = first.floor if all(b.floor == first.floor for b, _ in parts) else None
+    floors = [b.floor for b, _ in parts]
+    floor = None if None in floors else tuple(dict.fromkeys(br for f in floors for br in f))
     return bivariate_from_layers(layers, (first.zmin, first.zmax), min(b.order for b, _ in parts), floor)
 
 
@@ -324,8 +295,8 @@ def specialize(
 
     The certified order is the tighter of two bounds: every included layer is
     exact only below r*O + k*w, and layers excluded by the window could
-    contribute exponents as low as _excluded_floor allows.  Without floor
-    metadata no order can be certified and the call fails.  A caller that
+    contribute exponents as low as _excluded_floor allows.  A floor of None
+    certifies nothing and raises InsufficientWindowError.  A caller that
     needs order o picks the window with that same bound and evaluates the
     layers to (o - edge*w)/r (see verify.evaluate).
     """
@@ -340,13 +311,14 @@ def specialize(
     return _combine_series([(zero(certified), 1), *shifted])
 
 
-def _excluded_floor(
-    floor: Optional[LayerFloor], zmin: int, zmax: int, r: Fraction, w: Fraction
-) -> Optional[Fraction]:
+def _excluded_floor(floor: Floor, zmin: int, zmax: int, r: Fraction, w: Fraction) -> Optional[Fraction]:
     """Lowest exponent, after q -> q^r and z -> q^w, of layers outside [zmin, zmax].
 
     None when the floor admits no such layers; InsufficientWindowError without
     a floor.  r must be positive: only then does the bound grow with the window.
+    A branch's layer z^(E*m + F) lies above the window for m >= hi and below
+    it for m <= lo, and its floor there is the convex quad*m^2 + lin*m + const,
+    least on each ray at the integer next to the vertex or at the ray's end.
     """
     if r <= 0:
         raise ValueError(f"q rescale must be positive, got {r}")
@@ -354,33 +326,16 @@ def _excluded_floor(
         raise InsufficientWindowError(
             "layers outside the z-window are unbounded; cannot certify any order"
         )
-    mod = floor.modulus
     best: Optional[Fraction] = None
-    for br in floor.branches:
+    for br in floor:
         quad = r * br.quad
-        lin = r * br.lin + w * mod
-        const = r * br.const + w * br.residue
-
-        def value(m: int) -> Fraction:
-            return quad * m * m + lin * m + const
-
-        hi_start = (zmax - br.residue) // mod + 1
-        lo_end = -((br.residue - zmin) // mod) - 1
-        vertex = -lin / (2 * quad)
-        for candidate in _ray_minima(vertex, hi_start, lo_end):
-            v = value(candidate)
+        lin = r * br.lin + w * br.step
+        const = r * br.const + w * br.offset
+        hi = (zmax - br.offset) // br.step + 1
+        lo = -((br.offset - zmin) // br.step) - 1
+        vertex = -lin // (2 * quad)
+        for m in (max(hi, vertex), max(hi, vertex + 1), min(lo, vertex), min(lo, vertex + 1)):
+            v = quad * m * m + lin * m + const
             if best is None or v < best:
                 best = v
     return best
-
-
-def _ray_minima(vertex: Fraction, hi_start: int, lo_end: int) -> list[int]:
-    """Integer minimizer candidates on the rays m >= hi_start and m <= lo_end."""
-    out = [hi_start, lo_end]
-    floor_v = vertex.numerator // vertex.denominator
-    for m in (floor_v, floor_v + 1):
-        if m >= hi_start:
-            out.append(m)
-        if m <= lo_end:
-            out.append(m)
-    return out

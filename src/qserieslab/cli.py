@@ -7,9 +7,10 @@ zero denominator or substitution exponent, a zero series under inv, a
 signed substitution of a series whose exponent steps are not integers, a
 registry path that cannot be read, such as a directory, or an expression
 nested too deeply to parse or evaluate; flat chains of + and * of any
-length are not nested) and running out of memory, 3 when an order or
-window is insufficient.  Results go to stdout, diagnostics to stderr: a
-registry error names its line, a verify-all error its record.
+length are not nested) and running out of memory, 3 when a verification
+reports an insufficient order or discover has too few rows.  Results go to
+stdout, diagnostics to stderr: a registry error names its line, a
+verify-all error its record.
 """
 
 from __future__ import annotations

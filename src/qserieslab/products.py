@@ -23,7 +23,7 @@ from itertools import accumulate, islice
 from math import lcm
 from operator import add, sub
 
-from .series import PuiseuxSeries, Rational, _ceil, _frac, _from_grid, _highest_order_memo
+from .series import PuiseuxSeries, Rational, _ceil, _frac, _from_grid, _highest_order_memo, _sparse, _times
 
 __all__ = ["ProductFactor", "ProductSpec", "expand_product", "euler_phi"]
 
@@ -109,9 +109,8 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
     base = pe.numerator * (out_grid // pe.denominator)
     unit = out_grid // grid
     num, den = spec.prefactor_coefficient.numerator, spec.prefactor_coefficient.denominator
-    nonzero = [i for i, c in enumerate(coeffs) if c]
-    exps = [base + i * unit for i in nonzero]
-    return _from_grid(out_grid, exps, [coeffs[i] * num for i in nonzero], den, o)
+    exps, nums = _sparse(coeffs, base, unit)
+    return _from_grid(out_grid, exps, _times(nums, num), den, o)
 
 
 def _times_family(f: list[int], s: int, a: int, d: int, euler: bool) -> list[int]:

@@ -556,9 +556,7 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
         return _from_grid(d, [-exps[0]], [u * a.den], n0, order)
     step = gcd(*(x - exps[0] for x in exps))
     count = _ceil((order * d + exps[0]) / step)
-    coeffs = [0] * ((exps[-1] - exps[0]) // step + 1)
-    for x, c in zip(exps, a.nums):
-        coeffs[(x - exps[0]) // step] = u * c
+    coeffs = _dense(exps, _times(a.nums, u), step)
     weights = [c * n0 ** (i - 1) if i else 0 for i, c in enumerate(coeffs[:count])]
     inv = [1]
     for n in range(1, count):

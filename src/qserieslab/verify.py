@@ -197,7 +197,9 @@ def evaluate(expr: Expr, order: Rational) -> Value:
     specialization widens the window of every two-variable leaf under it,
     through sums, to the smallest symmetric one (never narrower) whose
     excluded layers reach o, by the floor of an order-0 probe, and asks for
-    (o - edge*w)/r.  Without a floor it raises InsufficientWindowError.
+    (o - edge*w)/r.  Every two-variable leaf carries a floor and a sum keeps
+    the union of its terms' branches, each quadratic in m with a positive
+    leading coefficient, so some window reaches o.
     Sums and products loop over their chains; only nesting recurses.
     """
     o = _frac(order)
@@ -335,18 +337,13 @@ class VerificationReport:
 def check_record(record: IdentityRecord, order: Optional[Rational] = None) -> VerificationReport:
     """Evaluate each side once and compare below min(order, certified orders).
 
-    evaluate() certifies every request, so one pass reaches the target.  A
-    side certified below it, or not at all (specialize without floor
-    metadata, reported at order 0), gives INSUFFICIENT_ORDER, never PASS.
+    evaluate() certifies every request, so one pass reaches the target; a
+    side certified below it gives INSUFFICIENT_ORDER, never PASS.
     """
     target = _frac(order) if order is not None else record.default_order
     started = time.perf_counter()
-    try:
-        lhs = evaluate(record.lhs, target)
-        rhs = evaluate(record.rhs, target)
-    except bv.InsufficientWindowError:
-        elapsed = int((time.perf_counter() - started) * 1000)
-        return VerificationReport(record.id, Status.INSUFFICIENT_ORDER, Fraction(0), None, elapsed)
+    lhs = evaluate(record.lhs, target)
+    rhs = evaluate(record.rhs, target)
     checked = min(target, lhs.order, rhs.order)
     if isinstance(lhs, PuiseuxSeries) != isinstance(rhs, PuiseuxSeries):
         raise EvaluationError(f"record {record.id} compares incompatible kinds")

@@ -37,7 +37,9 @@ def dict_combine(a, b, sign: int) -> PuiseuxSeries:
 
 def dict_combine_bivariate(a, b, sign: int) -> BivariateSeries:
     """Layerwise dict_combine over the z-exponents of either operand; empty
-    layers are dropped and the floor survives only when both agree."""
+    layers are dropped.  Every term of the sum is a term of a or of b, so the
+    floor is the union of both floors' branches, first seen first and each
+    kept once, and unknown (None) when either is."""
     la, lb = dict(a.layers), dict(b.layers)
     order = min(a.order, b.order)
     empty = PuiseuxSeries(1, order, ())
@@ -46,7 +48,13 @@ def dict_combine_bivariate(a, b, sign: int) -> BivariateSeries:
         ser = dict_combine(la.get(k, empty), lb.get(k, empty), sign)
         if ser.terms:
             layers.append((k, ser))
-    floor = a.floor if a.floor == b.floor else None
+    floor = None
+    if a.floor is not None and b.floor is not None:
+        kept: list = []
+        for br in a.floor + b.floor:
+            if br not in kept:
+                kept.append(br)
+        floor = tuple(kept)
     return BivariateSeries(a.zmin, a.zmax, order, tuple(layers), floor)
 
 
@@ -76,15 +84,15 @@ def dict_specialize(layers, r: Fraction, w: Fraction, order: Fraction) -> dict[F
 
 
 def excluded_minimum(floor, zmin: int, zmax: int, r: Fraction, w: Fraction):
-    """Smallest r*(A m^2 + B m + C) + w*k over the floor's layers
-    k = modulus*m + residue outside [zmin, zmax], by trying every |m| <= 200,
-    far past the vertex of any floor the tests draw; None when the floor has
-    no branch."""
+    """Smallest r*(A m^2 + B m + C) + w*k over each floor branch's layers
+    k = E*m + F outside [zmin, zmax], by trying every |m| <= 200, far past
+    the vertex of any floor the tests draw; None when the floor has no
+    branch."""
     values = [
-        r * (br.quad * m * m + br.lin * m + br.const) + w * (floor.modulus * m + br.residue)
-        for br in floor.branches
+        r * (br.quad * m * m + br.lin * m + br.const) + w * (br.step * m + br.offset)
+        for br in floor
         for m in range(-200, 201)
-        if not zmin <= floor.modulus * m + br.residue <= zmax
+        if not zmin <= br.step * m + br.offset <= zmax
     ]
     return min(values, default=None)
 

@@ -22,6 +22,7 @@ from qserieslab import bivariate
 from qserieslab.bivariate import (
     COMPLETE_SUPPORT,
     QUINTUPLE_FLOOR,
+    FloorBranch,
     add_bivariate,
     bivariate_theta,
 )
@@ -136,6 +137,19 @@ class TestBivariateTheta:
         four = bivariate_theta(((1, F(3), F(-1), F(0), 3, 0), (1, F(3), F(1), F(0), 3, 1)), F(10), (-5, 5))
         assert four.floor == QUINTUPLE_FLOOR
 
+    def test_floor_is_its_branches_once_each(self):
+        # mixed z-steps, an offset past the step, and a branch repeated with
+        # the other sign all keep their own shape
+        branches = ((1, F(12), F(2), F(0), 6, 1), (1, F(12), F(2), F(0), 3, 7), (-1, F(12), F(2), F(0), 6, 1))
+        theta = bivariate_theta(branches, F(10), (-5, 5))
+        assert theta.floor == (FloorBranch(12, 2, 0, 6, 1), FloorBranch(12, 2, 0, 3, 7))
+        assert bivariate_theta((), F(10), (-5, 5)).floor == COMPLETE_SUPPORT
+
+    @pytest.mark.parametrize("shape", [(0, 1, 0, 3, 0), (-1, 1, 0, 3, 0), (1, 0, 0, 0, 0), (1, 0, 0, -2, 0)])
+    def test_floor_branch_needs_positive_quad_and_step(self, shape):
+        with pytest.raises(ValueError):
+            FloorBranch(*shape)
+
 
 class TestCompare:
     def test_mismatch_reports_layer(self):
@@ -215,6 +229,22 @@ class TestSpecialize:
         out = specialize(lhs, F(5, 2), F(-3, 2))
         # the first excluded layer is z^3 = z^(3*1) with floor exponent 2
         assert out.order == F(5, 2) * 2 + 3 * F(-3, 2)
+
+    def test_offset_is_not_reduced_by_the_step(self):
+        # z^(2m + 5) at m = 0 is z^5, outside the window, with floor q^0; read
+        # as z^(2m + 1) it would be z^1, inside it
+        b = bivariate_from_layers({}, (-1, 1), F(10), (FloorBranch(1, 0, 0, 2, 5),))
+        assert specialize(b, 1, 0).order == 0
+        below = bivariate_from_layers({}, (-1, 1), F(10), (FloorBranch(1, 0, 0, 2, -5),))
+        assert specialize(below, 1, 0).order == 0
+
+    def test_sum_keeps_union_of_floors(self):
+        window = (-7, 7)
+        wanted3 = bivariate_theta(((1, F(12), F(2), F(0), 6, 1), (1, F(12), F(-2), F(0), 6, 0)), F(12), window)
+        both = add_bivariate(quintuple_lhs(F(12), window), wanted3)
+        assert both.floor == QUINTUPLE_FLOOR + wanted3.floor
+        unknown = bivariate_from_layers({}, window, F(12))
+        assert add_bivariate(both, unknown).floor is None
 
     def test_commutes_with_addition(self):
         window = (-7, 7)

@@ -49,6 +49,7 @@ from qserieslab.bivariate import (
     COMPLETE_SUPPORT,
     QUINTUPLE_FLOOR,
     BivariateSeries,
+    FloorBranch,
     add_bivariate,
     bivariate_from_layers,
     quintuple_rhs,
@@ -354,15 +355,35 @@ def test_theta_sum_matches_fraction_enumeration(case, order):
     assert theta_sum(spec, order) == expected
 
 
+floor_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+floor_quads = st.fractions(min_value=F(1, 2), max_value=4, max_denominator=6)
+
+
+@st.composite
+def floors(draw):
+    """Up to three branches on drawn z-steps 1..4 and offsets -5..8, so that
+    steps mix and offsets fall below 0 and at or above the step, possibly
+    with a second branch on the layers of the first; () is the empty floor."""
+    branches = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = (draw(floor_quads), draw(floor_fractions), draw(floor_fractions))
+        branches.append(FloorBranch(*shape, draw(st.integers(1, 4)), draw(st.integers(-5, 8))))
+    if branches and draw(st.booleans()):
+        first = draw(st.sampled_from(branches))
+        shape = (draw(floor_quads), draw(floor_fractions), draw(floor_fractions))
+        branches.append(FloorBranch(*shape, first.step, first.offset))
+    return tuple(branches)
+
+
 @st.composite
 def bivariate_series(draw, window=None):
     """Up to four drawn layers in a drawn window, all on one drawn order, under
-    either the quintuple floor or complete support."""
+    the quintuple floor, complete support or a drawn floor."""
     zmin, zmax = window or (draw(st.integers(-5, 0)), draw(st.integers(0, 5)))
     order = draw(any_orders)
     ks = draw(st.sets(st.integers(zmin, zmax), max_size=4))
     layers = {k: draw(graded_series(order)) for k in ks}
-    floor = draw(st.sampled_from([QUINTUPLE_FLOOR, COMPLETE_SUPPORT]))
+    floor = draw(st.sampled_from([QUINTUPLE_FLOOR, COMPLETE_SUPPORT]) | floors())
     return bivariate_from_layers(layers, (zmin, zmax), order, floor)
 
 
@@ -812,13 +833,15 @@ def test_signed_substitution_holds_on_continuations(x, r):
 
 
 def _floor_at(floor, k: int):
-    """The lowest q-exponent the floor allows on the layer z^k, None when it
-    holds no mass there."""
-    for br in floor.branches:
-        if k % floor.modulus == br.residue:
-            m = (k - br.residue) // floor.modulus
-            return br.quad * m * m + br.lin * m + br.const
-    return None
+    """The lowest q-exponent the floor allows on the layer z^k: the least
+    bound of the branches that hit it, None when none does."""
+    bounds = [
+        br.quad * m * m + br.lin * m + br.const
+        for br in floor
+        for m, rest in [divmod(k - br.offset, br.step)]
+        if rest == 0
+    ]
+    return min(bounds, default=None)
 
 
 @st.composite

@@ -35,9 +35,11 @@ from qserieslab.verify import (
     Specialize,
     Subst,
     Sum,
+    ThetaExpr,
     evaluate,
     parse_registry_text,
 )
+from qserieslab.lattice import ThetaBranch, ThetaSumSpec
 
 REQUIRED_IDS = [
     "RR-1",
@@ -126,16 +128,31 @@ class TestCheck:
             b.mismatch,
         )
 
-    def test_insufficient_window_reported_not_raised(self):
-        # mixed z-steps leave the theta sum without floor metadata, so no
-        # window bounds the layers specialize would leave out
+    @pytest.mark.parametrize("order", [25, 600])
+    def test_mixed_step_theta_specializes(self, order):
+        # z-steps 6 and 3 each bound their own layers, so the window widens
+        # to reach the order; by hand, 5/2*(12m^2 + 2m) - 3/2*(6m + 1) and
+        # 5/2*(12m^2 + 2m) - 3/2*3m
         mixed = BivariateThetaExpr(((1, F(12), F(2), F(0), 6, 1), (1, F(12), F(2), F(0), 3, 0)), -25, 25)
-        chain = Specialize(mixed, F(5, 2), F(-3, 2))
-        unbounded = IdentityRecord("NO-FLOOR", chain, chain, F(25))
-        report = check_record(unbounded, 25)
-        assert report.status is Status.INSUFFICIENT_ORDER
-        assert report.order_checked == 0
-        assert report.mismatch is None
+        by_hand = ThetaExpr(ThetaSumSpec(F(30), (ThetaBranch(F(-4), F(-3, 2), 1), ThetaBranch(F(1, 2), F(0), 1))))
+        record = IdentityRecord("MIXED-STEPS", Specialize(mixed, F(5, 2), F(-3, 2)), by_hand, F(order))
+        report = check_record(record, order)
+        assert (report.status, report.order_checked) == (Status.PASS, order)
+
+    def test_sum_of_differently_floored_series_specializes(self):
+        # the quintuple series side and its four-branch reindexing carry
+        # floors on z-steps 3 and 6; their difference keeps both
+        wanted3 = BivariateThetaExpr(verify._WANTED3_BRANCHES, -25, 25)
+        difference = Sum(((1, QuintupleLHS(-25, 25)), (-1, wanted3)))
+        record = IdentityRecord("WANTED3-DIFF", Specialize(difference, F(5, 2), F(-3, 2)), Mono(F(0), F(0)), F(600))
+        report = check_record(record, 600)
+        assert (report.status, report.order_checked) == (Status.PASS, 600)
+
+    def test_empty_theta_specializes(self):
+        # no branch: the empty floor says no layer outside the window holds mass
+        empty = Specialize(BivariateThetaExpr((), -25, 25), F(5, 2), F(-3, 2))
+        report = check_record(IdentityRecord("EMPTY-THETA", empty, Mono(F(0), F(0)), F(50)), 50)
+        assert (report.status, report.order_checked) == (Status.PASS, 50)
 
     def test_window_widens_through_a_sum(self):
         # both terms of the sum widen past their +-25 window, which alone
