@@ -42,6 +42,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Union
 
@@ -446,25 +447,30 @@ def _kronecker_mul(
     the operands' on one grid, via one packed multiplication.
 
     Both operands are laid out densely on g, a common stride of their
-    exponent offsets, and packed as little-endian signed digits of a width
-    that holds every coefficient of the product, so one multiplication of the
-    packed operands does the convolution.  Equal operands are packed once and
-    the number squared.  Up to _TRANSFORM_BITS product bits that is Python's
-    int product on digits of whole bytes; above it, libmpdec's exact
-    transform product on digits of w decimal places (_transform_mul), unless
-    decimal is pure Python or a digit could not pass through str.
+    exponent offsets, and packed as little-endian signed digits wide enough
+    for the `count` kept ones: |c_k| <= sum(|s_i| * max|l_0..l_(count-1-i)|)
+    for k < count, s the shorter layout and l the other.  That is at most
+    max|s| * max|l| * len(s) and at least every operand numerator.  Digits
+    above the cut may overflow and are discarded.  Equal operands are packed
+    once and the number squared.  Up to _TRANSFORM_BITS product bits that
+    is Python's int product on digits of whole bytes; above it, libmpdec's
+    exact transform product on digits of w decimal places (_transform_mul),
+    unless decimal is pure Python or a digit could not pass through str.
     """
     ia = _dense(ea, ca, g)
     ib = ia if ca == cb and ea == eb else _dense(eb, cb, g)
-    bound = max(map(abs, ca)) * max(map(abs, cb)) * min(len(ia), len(ib)) + 1
-    bits = bound.bit_length()
     size = len(ia) + len(ib) - 1
     base = ea[0] + eb[0]
     count = min(size, -((base - top) // g))
+    short, long = sorted((ia, ib), key=len)
+    peak = list(accumulate(map(abs, long[:count]), max))
+    peak += peak[-1:] * (count - len(peak))
+    bound = sum(map(operator.mul, map(abs, short[:count]), reversed(peak))) + 1
+    bits = bound.bit_length()
     w = -(-bits * 30103 // 100_000) + 1  # 10**(w-1) >= 2**bits > bound, as 0.30103 > log10(2)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (none before 3.10.7)
     if _LIBMPDEC is not None and size * bits > _TRANSFORM_BITS and not 0 < limit < w:
-        digits = _transform_mul(ia, ib, w, size, count)
+        digits = _transform_mul(ia, ib, w, count)
     else:
         nbytes = (bits + 9) // 8
         pa = _pack(ia, nbytes)
@@ -472,21 +478,24 @@ def _kronecker_mul(
     return _sparse(digits, base, g)
 
 
-def _transform_mul(ia: list[int], ib: list[int], w: int, size: int, count: int) -> list[int]:
-    """The lowest `count` of the `size` digits of the product of the digit
-    lists ia and ib in radix 10**w, each digit below half = 5 * 10**(w-1) in
-    absolute value, through one libmpdec multiplication in the exact context;
-    ia is packed once when ib is ia.
+def _transform_mul(ia: list[int], ib: list[int], w: int, count: int) -> list[int]:
+    """The lowest `count` digits of the product of the digit lists ia and ib
+    in radix 10**w, each below half = 5 * 10**(w-1) in absolute value (those
+    above may be of any size), through one libmpdec multiplication in the
+    exact context; ia is packed once when ib is ia.
 
-    Adding half to every digit of the product makes all of them nonnegative
-    with no borrows, as in _unpack, so they are read off the decimal string,
-    w places each; no decimal division cuts off the high digits.
+    A negative product is lifted by a power of ten above both it and the
+    n = count * w kept places, which leaves those places alone.  Adding half
+    to each kept digit then makes them all nonnegative with no borrows, as
+    in _unpack, so they are read off the end of the decimal string.
     """
     pa = _decimal_pack(ia, w)
     total = _LIBMPDEC.multiply(pa, pa if ib is ia else _decimal_pack(ib, w))
     del pa
-    total = _LIBMPDEC.add(total, Decimal(("5" + "0" * (w - 1)) * size))
     n = count * w
+    if total < 0:
+        total = _LIBMPDEC.add(total, Decimal((0, (1,), max(total.adjusted() + 1, n))))
+    total = _LIBMPDEC.add(total, Decimal(("5" + "0" * (w - 1)) * count))
     low = str(total)[-n:].zfill(n)
     del total
     half = 5 * 10 ** (w - 1)
@@ -527,9 +536,10 @@ def _pack(vals: list[int], nbytes: int) -> int:
 
 
 def _unpack(n: int, nbytes: int, count: int) -> list[int]:
-    """The lowest `count` signed digits of n, each below 128 * 256**(nbytes - 1)
-    in absolute value: adding that half-width to every digit makes them all
-    nonnegative, so they read off the bytes with no borrows."""
+    """The lowest `count` signed digits of n, each below half =
+    128 * 256**(nbytes - 1) in absolute value, masked off as n modulo
+    256**(nbytes * count) whatever n's sign and higher digits: adding half to
+    every digit makes them all nonnegative, so they read off with no borrows."""
     width = nbytes * count
     low = n & ((1 << (8 * width)) - 1)
     half = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")

@@ -66,6 +66,7 @@ from oracles import (
     dict_substitute,
     excluded_minimum,
     fraction_nullspace,
+    partition_counts,
     pentagonal_sum,
     product_offsets,
     quintuple_product_layers,
@@ -197,10 +198,36 @@ PACKED_KERNELS = {
 }
 
 
+PARTITIONS = partition_counts(list(range(1, 40)), 39)
+
+
+@st.composite
+def growing_series(draw):
+    """Numerators s_i * p(i)**power that grow along the exponents with the
+    partition numbers p, from a lead, with signs and gaps, and the order
+    just past the last slot: the product of two is cut at the shorter one's
+    length, about the middle of its span, where the discarded products of
+    two late terms can outgrow every kept coefficient."""
+    lead = draw(st.integers(-6, 6))
+    power = draw(st.integers(1, 12))
+    signs = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=2, max_size=40))
+    terms = [(F(lead + i), F(s * PARTITIONS[i] ** power)) for i, s in enumerate(signs) if s]
+    assume(terms)
+    return PuiseuxSeries(1, F(lead + len(signs)), tuple(terms))
+
+
+@st.composite
+def growing_pairs(draw):
+    """Two growing series, or one twice, which packs once and squares."""
+    a = draw(growing_series())
+    return (a, a) if draw(st.booleans()) else (a, draw(growing_series()))
+
+
 @given(
     st.one_of(
         st.tuples(small_series(), small_series()),
         st.tuples(integer_step_series(), integer_step_series()),
+        growing_pairs(),
     )
 )
 def test_kronecker_mul_matches_dict_oracle(pair):

@@ -21,6 +21,7 @@ from qserieslab import (
     minimal_char,
     monomial,
     mul,
+    named_series,
     scale,
     sub,
     substitute,
@@ -290,7 +291,8 @@ class TestTransformMul:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_widest_digit(self, sign):
-        # n equal coefficients c and c' make the middle digit n*c*c' = bound - 1,
+        # n equal coefficients c and c', all kept at order 2n, make the middle
+        # digit n*c*c' the sum of |a_i| * max|b_0..b_(2n-2-i)|, so bound - 1:
         # the widest the packing allows
         n, c = 64, 10**40 - 1
         a, b = _polynomial([c] * n, 2 * n), _polynomial([sign * c] * n, 2 * n)
@@ -331,6 +333,56 @@ def test_square_packs_once(kernel, pack):
         prod = kernel_mul(a, a)
     assert len(packs) == 1
     assert dict(prod.terms) == dict_mul(dict(a.terms), dict(a.terms), prod.order)
+
+
+class TestDigitsAboveTheCut:
+    """The digit width holds only the coefficients below the product's order,
+    so the digits above it overflow and must be discarded, from a positive
+    or a negative packed product, and from a square (always positive)."""
+
+    n, spike = 40, 10**60
+
+    def operand(self, sign, shift=0):
+        # small alternating numerators, then one spike in the last kept slot:
+        # the kept digits reach about 2 * spike, the discarded top spike**2
+        small = [(-1) ** i * (i + 1 + shift) for i in range(self.n - 1)]
+        return _polynomial([*small, sign * self.spike], self.n)
+
+    @pytest.mark.parametrize("kernel, pack", [("int", "_pack"), ("libmpdec", "_decimal_pack")])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, None)], ids=["pos", "neg", "neg2", "square"])
+    def test_overflowing_digits_are_discarded(self, kernel, pack, signs):
+        if kernel == "libmpdec" and series._LIBMPDEC is None:
+            pytest.skip("decimal is the pure-Python module")
+        a = self.operand(signs[0])
+        b = a if signs[1] is None else self.operand(signs[1], shift=1)
+        packs = []
+        bits = float("inf") if kernel == "int" else 0
+        with patch.multiple(series, _TRANSFORM_BITS=bits, **{pack: spied(pack, packs)}):
+            prod = kernel_mul(a, b)
+        assert len(packs) == (1 if b is a else 2)
+        assert dict(prod.terms) == dict_mul(dict(a.terms), dict(b.terms), prod.order)
+        width = packs[0][1]
+        half = 128 * 256 ** (width - 1) if kernel == "int" else 5 * 10 ** (width - 1)
+        top = dict_mul(dict(a.terms), dict(b.terms), F(2 * self.n))[F(2 * self.n - 2)]
+        assert abs(top) >= half  # the highest digit does not fit the width
+        assert (top < 0) == (signs[1] == -signs[0])  # so the packed product has its sign
+
+
+def test_width_holds_the_kept_coefficients():
+    # DECOMP-1.4's a22:basic squared at order 500: 3,001 terms whose kept
+    # coefficients fit 156 bits, 48 decimal places or 20 bytes; a width for
+    # max|a| * max|b| * len(a) would take 225 bits, 69 places or 29 bytes
+    if series._LIBMPDEC is None:
+        pytest.skip("decimal is the pure-Python module")
+    a = named_series("a22:basic", 500)
+    transforms, packs = [], []
+    with patch.object(series, "_transform_mul", spied("_transform_mul", transforms)):
+        prod = kernel_mul(a, a)
+    with patch.multiple(series, _TRANSFORM_BITS=float("inf"), _pack=spied("_pack", packs)):
+        assert kernel_mul(a, a) == prod
+    [(_, _, w, *_)] = transforms
+    [(_, nbytes)] = packs
+    assert w <= 49 and nbytes <= 21
 
 
 class TestInvert:
