@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .products import _times_family
+from .products import _levels, _times_family
 from .series import (
     InsufficientOrderError,
     Mismatch,
@@ -35,6 +34,7 @@ from .series import (
     _from_grid,
     _shift,
     _sparse,
+    _unpack,
     compare,
     monomial,
     substitute,
@@ -169,43 +169,66 @@ def quintuple_rhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
 
     (1+z) * prod over n >= 1 of (1-q^(2n)) (1-q^(4n-2)z^2) (1-q^(4n-2)z^-2)
     (1+q^(2n)z) (1+q^(2n)z^-1), in Q = q^2 (every q-exponent is even) below
-    Q^half, half = ceil(ceil(order)/2).  Kronecker substitution Q -> x^W,
-    z -> x sends Q^E z^k to x^(EW+k) and each of the five progressions to one
-    factor family in x, which products._times_family applies by Euler's sum
-    to one dense list f, starting from 1 + z = 1 + x.
+    Q^half, half = ceil(ceil(order)/2).  The product is laid out as half
+    integer rows: row E is P_E(2^w), P_E the Laurent polynomial in z that is
+    the coefficient of Q^E, times 2^(w*lift) so that no power of z is
+    negative.  Row 0 starts as 1 + 2^w, and each of the five progressions,
+    such as (1 + Q^n z), is one family (s*z^dz*Q^e; Q^step)_inf that
+    products._times_family applies over the rows by Euler's sum with an
+    in-row shift of dz*w bits; a family with dz < 0 raises the lift by
+    -dz times its number of Horner levels.
 
-    Bound on |k|: a term q^e z^k takes 1 or z from the prefactor and i net
-    factors z^(+-2) of one sign, costing at least 2 + 6 + ... + (4i-2) = 2i^2,
-    and j net factors z^(+-1), costing at least 2 + 4 + ... + 2j = j(j+1); so
-    |k| <= 1 + 2i + j with 2i^2 + j(j+1) <= e.  K is the largest such |k|
-    over e <= top, top = 2*half (not ceil(order)), and W = 2K + 1.
-
-    Decoding: f is kept below L = half*W - K.  A term with E < half has
-    |k| <= K, so it lands below L, and since W > 2K, x^(EW+k) is the E-th
-    entry of layer k's stride-W slice of f and of no other term's: the
-    coefficient of q^(2E).  A term with E = half + t lands at or above L: at
-    t = 0 because e = top gives k >= -K; past it, e = top + 2t and dropping a
-    net factor lowers 2i^2 + j(j+1) by at least 2 and 2i + j by at most 2, so
-    |k| <= K + 2t and EW + k >= L + (2K-1)t.  The layers are exact below the
-    order, which they certify; the result is clipped to the window, and its
-    floor metadata is the identity's layer support.
+    Exactness: z -> 2^w is a ring map Z[z] -> Z and the kernel uses only +,
+    -, *2^k and running sums, so each row is exactly 2^(w*lift) P_E(2^w),
+    whatever its digits do on the way.  Its coefficients c_(E,k) are read
+    back as its balanced base-2^w digits, which they are when every
+    |c_(E,k)| < 2^(w-1).  Taking every sign positive and z = 1 gives the
+    majorant M = 2 * prod (1+Q^n)^3 (1+Q^(2n-1))^2, whose coefficient M_E is
+    at least the sum over k of |c_(E,k)|; w is the least multiple of 8 with
+    2^(w-1) > max M_E below Q^half (_digit_width).  The layers are exact
+    below the order, which they certify; the result is clipped to the
+    window, and its floor metadata is the identity's layer support.
     """
     o = _frac(q_order)
     half = -(-_ceil(o) // 2)
     if half <= 0:
         return bivariate_from_layers({}, window, o, QUINTUPLE_FLOOR)
-    K = 1 + max(2 * i + (isqrt(8 * (half - i * i) + 1) - 1) // 2 for i in range(isqrt(half) + 1))
-    W = 2 * K + 1
-    f = [1, 1] + [0] * (half * W - K - 2)
-    # (1 - s*Q^(e + step*n)*z^dz) for n >= 0, as (1 - s*x^(eW + dz + step*W*n))
-    for s, e, dz, step in ((1, 1, 0, 1), (-1, 1, 1, 1), (-1, 1, -1, 1), (1, 1, 2, 2), (1, 1, -2, 2)):
-        f = _times_family(f, s, e * W + dz, step * W, True)
+    w = _digit_width(half)
+    rows = [1 + (1 << w)] + [0] * (half - 1)
+    lift = 0
+    for s, e, dz, step in _QUINTUPLE_FAMILIES:
+        rows = _times_family(rows, s, e, step, True, dz * w)
+        if dz < 0:
+            lift -= dz * _levels(half, e, step)[0]
+    # digit j of a row holds layer z^(j - lift); only the window's are read
     zmin, zmax = window
-    layers = {}
-    for k in range(max(zmin, -K), min(zmax, K) + 1):
-        # layer k's slice holds E = 0, 1, ... for k >= 0 and E = 1, 2, ... for k < 0
-        layers[k] = _from_grid(1, *_sparse(f[k % W :: W], -2 * (k // W), 2), 1, o)
+    lo = max(zmin + lift, 0)
+    count = max(zmax + lift + 1 - lo, 0)
+    columns = zip(*[_digits(row, w, lo, count) for row in rows])
+    layers = {lo - lift + i: _from_grid(1, *_sparse(list(column), 0, 2), 1, o) for i, column in enumerate(columns)}
     return bivariate_from_layers(layers, window, o, QUINTUPLE_FLOOR)
+
+
+# (1 - s*Q^(e + step*n)*z^dz) for n >= 0, the quintuple product's five progressions
+_QUINTUPLE_FAMILIES = ((1, 1, 0, 1), (-1, 1, 1, 1), (1, 1, 2, 2), (-1, 1, -1, 1), (1, 1, -2, 2))
+
+
+def _digits(row: int, w: int, lo: int, count: int) -> list[int]:
+    """Digits lo to lo + count - 1 of row in balanced base 2^w, every digit
+    below 2^(w-1) in size.  The digits below lo then sum to less than
+    2^(w*lo - 1) in size, so rounding row / 2^(w*lo) to the nearest integer
+    drops them exactly, and series._unpack reads the rest."""
+    return _unpack((row + (1 << w * lo >> 1)) >> w * lo, w // 8, count)
+
+
+def _digit_width(half: int) -> int:
+    """The least multiple of 8, w, with 2^(w-1) above every coefficient of
+    the majorant M = 2 * prod over n >= 1 of (1+Q^n)^3 (1+Q^(2n-1))^2 below
+    Q^half: the quintuple product with every sign positive at z = 1."""
+    majorant = [2] + [0] * (half - 1)
+    for _, e, _, step in _QUINTUPLE_FAMILIES:
+        majorant = _times_family(majorant, -1, e, step, True)
+    return 8 * ((max(majorant).bit_length() + 8) // 8)
 
 
 def bivariate_theta(

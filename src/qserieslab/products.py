@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from math import lcm
-from operator import add, sub
+from operator import add, lshift, sub
 
 from .series import PuiseuxSeries, Rational, _ceil, _frac, _from_grid, _highest_order_memo, _sparse, _times
 
@@ -113,27 +113,50 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
     return _from_grid(out_grid, exps, _times(nums, num), den, o)
 
 
-def _times_family(f: list[int], s: int, a: int, d: int, euler: bool) -> list[int]:
+def _times_family(f: list[int], s: int, a: int, d: int, euler: bool, shift: int = 0) -> list[int]:
     """f * (s*x^a; x^d)_inf below len(f) by Euler's sum, or f / (s*x^a; x^d)_inf
-    by Cauchy's sum, as in expand_product; a copy of f when a >= len(f)."""
+    by Cauchy's sum, as in expand_product; a copy of f when a >= len(f).
+
+    A nonzero shift (Euler's sum only) reads each entry of f as P(2^w), P a
+    polynomial in a second variable y, and applies (s*2^shift*x^a; x^d)_inf,
+    2^shift standing for a power of y: every merge takes the inner level
+    times 2^shift.  That is exact, since every step is +, -, *2^k or a
+    running sum and y -> 2^w is a ring map.  A negative shift is never made
+    as a shift right: each merge instead lifts the f side by -shift bits more
+    than the last, so the result is the product times 2^(-shift*L), with
+    L = _levels(len(f), a, d)[0] the number of Horner levels.
+    """
     size = len(f)
     k = 1 if euler else 2  # E_n - E_(n-1) = a + k*d*(n-1)
-    levels = top = 0
-    while top + a + k * d * levels < size:
-        top += a + k * d * levels
-        levels += 1
+    levels, top = _levels(size, a, k * d)
     # r_n's sign: -s for Euler's sum, s for Cauchy's
     op = add if (s == 1) != euler else sub
     h = f[: size - top]
+    lift = 0
     for n in range(levels, 0, -1):
         _divide(h, d * n, 1)
         if not euler:
             _divide(h, a + d * (n - 1), s)
         gap = a + k * d * (n - 1)
         top -= gap
-        inner, h = h, f[:gap]
-        h.extend(map(op, islice(f, gap, size - top), inner))
+        inner = h
+        if shift < 0:
+            lift -= shift
+            h = list(map(lshift, f[:gap], repeat(lift)))
+            h.extend(map(op, map(lshift, islice(f, gap, size - top), repeat(lift)), inner))
+        else:
+            h = f[:gap]
+            h.extend(map(op, islice(f, gap, size - top), map(lshift, inner, repeat(shift)) if shift else inner))
     return h
+
+
+def _levels(size: int, a: int, step: int) -> tuple[int, int]:
+    """(L, E_L): the last n with E_n = n*a + step*n(n-1)/2 below size, and E_L."""
+    levels = top = 0
+    while top + a + step * levels < size:
+        top += a + step * levels
+        levels += 1
+    return levels, top
 
 
 def _divide(h: list[int], m: int, s: int) -> None:

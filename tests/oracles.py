@@ -283,33 +283,41 @@ def fkw_offsets(steps: int) -> list[int]:
     return [sum(theta[j] * p[i - j] for j in range(i + 1)) for i in range(steps)]
 
 
+def family_product(
+    poly: dict[tuple[int, int], int], families, top
+) -> dict[tuple[int, int], int]:
+    """poly * prod over (s, e, dz, step) in families and n >= 0 of
+    (1 - s * Q^(e + step*n) * z^dz) below Q^top, multiplied out one factor
+    instance at a time on a {(Q-exponent, z-exponent): coefficient} dict."""
+    out = {key: c for key, c in poly.items() if key[0] < top and c}
+    for s, e, dz, step in families:
+        dq = e
+        while dq < top:
+            grown = dict(out)
+            for (q, z), c in out.items():
+                if q + dq < top:
+                    grown[(q + dq, z + dz)] = grown.get((q + dq, z + dz), 0) - s * c
+            out = {key: c for key, c in grown.items() if c}
+            dq += step
+    return out
+
 
 @lru_cache(maxsize=None)
 def _quintuple_product(order: Fraction) -> tuple[tuple[tuple[int, int], int], ...]:
-    # (z-exponent, q-exponent) -> coefficient, from the (1+z) prefactor cut at the order
-    poly = {(0, 0): 1, (1, 0): 1} if order > 0 else {}
-    n = 1
-    while 2 * n < order:
-        a, b = 2 * n, 4 * n - 2
-        # factor instance (1 + sign * q^dq * z^dz) for this n
-        for dz, dq, sign in ((0, a, -1), (1, a, 1), (-1, a, 1), (2, b, -1), (-2, b, -1)):
-            grown = dict(poly)
-            for (z, e), c in poly.items():
-                if e + dq < order:
-                    grown[(z + dz, e + dq)] = grown.get((z + dz, e + dq), 0) + sign * c
-            poly = {key: c for key, c in grown.items() if c}
-        n += 1
-    return tuple(poly.items())
+    # (q-exponent, z-exponent) -> coefficient; the factors (1 - s q^(e + step*n) z^dz)
+    # are (1-q^(2n)), (1+q^(2n)z), (1+q^(2n)/z), (1-q^(4n-2)z^2) and (1-q^(4n-2)/z^2)
+    families = ((1, 2, 0, 2), (-1, 2, 1, 2), (-1, 2, -1, 2), (1, 2, 2, 4), (1, 2, -2, 4))
+    return tuple(family_product({(0, 0): 1, (0, 1): 1}, families, order).items())
 
 
 def quintuple_product_layers(order: Fraction, window: tuple[int, int]) -> dict[int, dict[int, int]]:
     """Layers z^k, k in the window, of the quintuple product below q^order:
     (1+z) * prod over n >= 1 of (1-q^(2n)) (1+q^(2n)z) (1+q^(2n)/z)
     (1-q^(4n-2)z^2) (1-q^(4n-2)/z^2), multiplied out one factor instance at
-    a time on a {(z-exponent, q-exponent): coefficient} dict."""
+    a time by family_product."""
     zmin, zmax = window
     layers: dict[int, dict[int, int]] = {}
-    for (z, e), c in _quintuple_product(Fraction(order)):
+    for (e, z), c in _quintuple_product(Fraction(order)):
         if zmin <= z <= zmax:
             layers.setdefault(z, {})[e] = c
     return layers

@@ -29,7 +29,7 @@ from qserieslab.bivariate import (
 from qserieslab.products import ProductFactor, ProductSpec
 from qserieslab.products import _times_family as times_family
 from qserieslab.lattice import ThetaBranch, ThetaSumSpec
-from oracles import quintuple_product_layers
+from oracles import family_product, quintuple_product_layers
 
 
 def quintuple_layer_oracle(k: int, top: int) -> dict[int, int]:
@@ -96,27 +96,44 @@ class TestQuintupleRHSOracle:
 
 
 class TestQuintupleRHSLayout:
-    # Every q-exponent is even, so the product is laid out in Q = q^2: a list
-    # of half*W - K slots, half = ceil(ceil(o)/2), with K the z-bound at the
-    # even top 2*half and every family's stride a multiple of W = 2K + 1.
+    # Every q-exponent is even, so the product is laid out in Q = q^2 as half
+    # integer rows, half = ceil(ceil(o)/2), row E holding the z-polynomial of
+    # Q^E at z = 2^w: the five families run over the rows with strides 1 and
+    # 2 and in-row shifts of dz*w bits, after the five passes of the width's
+    # majorant over the same number of entries.
     @pytest.mark.parametrize("order", [F(1, 2), F(1), F(2), F(3), F(37, 2), F(99), F(101), F(1307, 5)])
     def test_q_squared_layout(self, monkeypatch, order):
         calls = []
 
-        def spy(f, s, a, d, euler):
-            calls.append((len(f), d))
-            return times_family(f, s, a, d, euler)
+        def spy(f, s, a, d, euler, shift=0):
+            calls.append((len(f), s, a, d, shift))
+            return times_family(f, s, a, d, euler, shift)
 
         monkeypatch.setattr(bivariate, "_times_family", spy)
         quintuple_rhs(order, (-6, 6))
         half = -(-math.ceil(order) // 2)
-        # |k| <= 1 + 2i + j for i net factors z^(+-2) and j net factors z^(+-1),
-        # which cost at least 2i^2 + j(j+1) <= 2*half
-        pairs = [(i, j) for i in range(half + 1) for j in range(2 * half + 1)]
-        K = max(1 + 2 * i + j for i, j in pairs if 2 * i * i + j * (j + 1) <= 2 * half)
-        W = 2 * K + 1
-        assert len(calls) == 5
-        assert all(size == half * W - K and d % W == 0 for size, d in calls)
+        w = calls[6][4]
+        assert len(calls) == 10 and w > 0 and w % 8 == 0
+        assert calls[:5] == [(half, -1, 1, d, 0) for d in (1, 1, 2, 1, 2)]
+        assert calls[5:] == [
+            (half, s, 1, d, dz * w) for s, d, dz in ((1, 1, 0), (-1, 1, 1), (1, 2, 2), (-1, 1, -1), (1, 2, -2))
+        ]
+
+    def test_digit_width_holds_the_majorant(self):
+        # QPI's coefficients are all 0 or +-1, so no output shows a width too
+        # narrow for the intermediate sums: w itself is pinned against
+        # M = 2 * prod (1+Q^n)^3 (1+Q^(2n-1))^2, the product with every sign
+        # positive at z = 1, whose coefficients bound the sum of |c| over a row
+        positive = ((-1, 1, 0, 1),) * 3 + ((-1, 1, 0, 2),) * 2
+        narrowest = set()
+        for half in range(1, 121):
+            top = max(family_product({(0, 0): 2}, positive, half).values())
+            w = bivariate._digit_width(half)
+            assert w % 8 == 0 and 2 ** (w - 9) <= top < 2 ** (w - 1)
+            narrowest.add(top.bit_length() % 8)
+        # at some half the bit length is a multiple of 8, so there
+        # 8*ceil(bits/8), which leaves no room for the digit's sign, is too narrow
+        assert 0 in narrowest
 
 
 class TestBivariateTheta:

@@ -166,6 +166,13 @@ class TestVerifyAll:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_order_column_is_not_the_cli_order(self, capsys, tmp_path):
+        # verify-all checks every record at --order (default 50); a record's
+        # order column is only the Python API's default_order
+        path = tmp_path / "inv.registry"
+        path.write_text("INV | 1000 | inv(a22:basic) * a22:basic | mono(1,0)\n")
+        assert run(capsys, "verify-all", "--registry", str(path)) == (0, "INV PASS order=50/1\n", "")
+
     def test_forty_factor_product(self, capsys, tmp_path):
         # one product nested to the left, against two halves of 20
         chain, half = " * ".join(["chi:2,5,1,2"] * 40), " * ".join(["chi:2,5,1,2"] * 20)

@@ -44,7 +44,7 @@ from qserieslab import (
     weyl_group,
     zero,
 )
-from qserieslab import bivariate, cli, series
+from qserieslab import bivariate, cli, products, series
 from qserieslab.bivariate import (
     COMPLETE_SUPPORT,
     QUINTUPLE_FLOOR,
@@ -65,6 +65,7 @@ from oracles import (
     dict_specialize,
     dict_substitute,
     excluded_minimum,
+    family_product,
     fraction_nullspace,
     partition_counts,
     pentagonal_sum,
@@ -457,6 +458,57 @@ def test_quintuple_rhs_matches_brute_force_product(case):
     rhs = quintuple_rhs(order, window)
     assert (rhs.order, rhs.zmin, rhs.zmax) == (order, *window)
     assert {k: dict(layer.terms) for k, layer in rhs.layers} == quintuple_product_layers(order, window)
+
+
+@st.composite
+def shifted_family_cases(draw):
+    """Rows of a bivariate polynomial with coefficients up to 2^80 in size,
+    z-exponents in [-3, 3], a digit width w of 1 to 40 bits (any w is exact,
+    as the rows need not fit their digits) and one to three Euler families
+    (s, e, dz, step) with dz in [-2, 2]."""
+    size = draw(st.integers(1, 10))
+    coefficient = st.integers(-(2**80), 2**80)
+    poly = draw(st.dictionaries(st.tuples(st.integers(0, size - 1), st.integers(-3, 3)), coefficient, max_size=12))
+    family = st.tuples(st.sampled_from([1, -1]), st.integers(1, 4), st.integers(-2, 2), st.integers(1, 3))
+    return size, poly, draw(st.integers(1, 40)), draw(st.lists(family, min_size=1, max_size=3))
+
+
+@given(shifted_family_cases())
+def test_shifted_times_family_matches_bivariate_oracle(case):
+    size, poly, w, families = case
+    # row E holds z^3 * P_E(z) at z = 2^w; a family with dz < 0 lifts every
+    # row by -dz times its number of Euler terms below Q^size
+    rows = [sum(c << w * (k + 3) for (e, k), c in poly.items() if e == row) for row in range(size)]
+    lift = 3
+    for s, e, dz, step in families:
+        rows = products._times_family(rows, s, e, step, True, dz * w)
+        if dz < 0:
+            lift -= dz * max(n for n in range(size + 1) if n * e + step * n * (n - 1) // 2 < size)
+    expected = [0] * size
+    for (e, k), c in family_product(poly, families, size).items():
+        expected[e] += c << w * (k + lift)
+    assert rows == expected
+
+
+@st.composite
+def balanced_rows(draw):
+    """A digit width w of 8 to 32 bits, up to 8 digits each below 2^(w-1) in
+    size, and a run of digits to read from lo, up to two past the top."""
+    w = 8 * draw(st.integers(1, 4))
+    bound = 2 ** (w - 1) - 1
+    digits = draw(st.lists(st.integers(-bound, bound), max_size=8))
+    lo = draw(st.integers(0, len(digits)))
+    return w, digits, lo, draw(st.integers(0, len(digits) + 2 - lo))
+
+
+@given(balanced_rows())
+# the digits below lo at their most negative: the rounding must not borrow
+@example((8, [-127, -127, 5], 2, 1))
+@example((16, [32767, 32767, -1], 2, 2))
+def test_window_digits_read_balanced_rows(case):
+    w, digits, lo, count = case
+    row = sum(c << w * j for j, c in enumerate(digits))
+    assert bivariate._digits(row, w, lo, count) == (digits + [0] * (lo + count))[lo : lo + count]
 
 
 factor_fractions = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
