@@ -28,10 +28,13 @@ from qserieslab import verify
 from qserieslab.characters import WModule
 from qserieslab.verify import (
     BivariateThetaExpr,
+    Inv,
     Mono,
     Name,
     Product,
+    ProductExpr,
     QuintupleLHS,
+    QuintupleRHS,
     Specialize,
     Subst,
     Sum,
@@ -40,6 +43,7 @@ from qserieslab.verify import (
     parse_registry_text,
 )
 from qserieslab.lattice import ThetaBranch, ThetaSumSpec
+from qserieslab.products import ProductFactor, ProductSpec
 
 REQUIRED_IDS = [
     "RR-1",
@@ -79,6 +83,72 @@ class TestRegistry:
         ids = [r.id for r in registry()]
         assert ids == [r.id for r in registry()]
         assert len(set(ids)) == len(ids)
+
+    def test_two_variable_records_keep_their_trees(self):
+        # the seven records of the quintuple-product argument, spelled as trees
+        window = (-25, 25)
+        wanted_theta = ThetaExpr(
+            ThetaSumSpec(
+                F(30),
+                (
+                    ThetaBranch(F(-4), F(0), 1),
+                    ThetaBranch(F(16), F(2), -1),
+                    ThetaBranch(F(-14), F(3, 2), 1),
+                    ThetaBranch(F(26), F(11, 2), -1),
+                ),
+            )
+        )
+        wanted_product = ProductExpr(
+            ProductSpec(
+                (
+                    ProductFactor(1, F(1), F(1), 1),
+                    ProductFactor(1, F(1), F(5, 2), -1),
+                    ProductFactor(1, F(3, 2), F(5, 2), -1),
+                )
+            )
+        )
+        easy_product = ProductExpr(
+            ProductSpec(
+                (
+                    ProductFactor(-1, F(3, 2), F(5), 1),
+                    ProductFactor(1, F(5), F(5), 1),
+                    ProductFactor(1, F(2), F(10), 1),
+                    ProductFactor(1, F(8), F(10), 1),
+                    ProductFactor(-1, F(7, 2), F(5), 1),
+                )
+            )
+        )
+        euler = ProductExpr(ProductSpec((ProductFactor(1, F(1), F(1), 1),)))
+        wanted3 = BivariateThetaExpr(
+            (
+                (1, F(12), F(2), F(0), 6, 1),
+                (-1, F(12), F(14), F(4), 6, 4),
+                (1, F(12), F(-2), F(0), 6, 0),
+                (-1, F(12), F(10), F(2), 6, 3),
+            ),
+            *window,
+        )
+        q_lhs, q_rhs = QuintupleLHS(*window), QuintupleRHS(*window)
+        expected = {
+            "QPI": (q_lhs, q_rhs),
+            "WANTED": (wanted_theta, wanted_product),
+            "WANTED3": (q_lhs, wanted3),
+            "EASY": (easy_product, wanted_product),
+            "SPECIALIZE-L": (Product((Mono(F(1), F(3, 2)), Specialize(q_lhs, F(5, 2), F(-3, 2)))), wanted_theta),
+            "SPECIALIZE-R": (Product((Mono(F(1), F(3, 2)), Specialize(q_rhs, F(5, 2), F(-3, 2)))), easy_product),
+            "APPENDIX-DISPLAY": (
+                Product((Mono(F(1), F(11, 120)), wanted_theta, Inv(euler))),
+                Sum(((1, Name("chi:5,6,1,2")), (1, Name("chi:5,6,1,4")))),
+            ),
+        }
+        records = registry()
+        assert [r.id for r in records[-7:]] == list(expected)
+        for record in records[-7:]:
+            sides = (record.lhs, record.rhs)
+            assert sides == expected[record.id], record.id
+            assert repr(sides) == repr(expected[record.id]), record.id
+            assert record.default_order == 50
+            assert record.description == verify._DESCRIPTIONS[record.id]
 
     def test_every_record_evaluates_at_20(self):
         for record in registry():
@@ -142,7 +212,7 @@ class TestCheck:
     def test_sum_of_differently_floored_series_specializes(self):
         # the quintuple series side and its four-branch reindexing carry
         # floors on z-steps 3 and 6; their difference keeps both
-        wanted3 = BivariateThetaExpr(verify._WANTED3_BRANCHES, -25, 25)
+        wanted3 = next(r.rhs for r in registry() if r.id == "WANTED3")
         difference = Sum(((1, QuintupleLHS(-25, 25)), (-1, wanted3)))
         record = IdentityRecord("WANTED3-DIFF", Specialize(difference, F(5, 2), F(-3, 2)), Mono(F(0), F(0)), F(600))
         report = check_record(record, 600)
