@@ -1,9 +1,10 @@
-"""Command-line surface: expand named series, verify identities, discover
-linear relations.
+"""Command-line surface: expand series expressions, verify identities,
+discover linear relations.
 
 Exit status: 0 on success or all-PASS, 1 when a verification finds a
 mismatch, 2 on usage errors, unknown names or ids, malformed inputs (a
-zero denominator or substitution exponent, a zero series under inv, a
+zero denominator or substitution exponent, a malformed function form, a
+two-variable expression given to expand or discover, a zero series under inv, a
 signed substitution of a series whose exponent steps are not integers, a
 registry path that cannot be read, such as a directory, or an expression
 nested too deeply to parse or evaluate; flat chains of + and * of any
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .characters import named_series
-from .series import EmptySeriesError, GradingError, to_text
+from .series import EmptySeriesError, GradingError, PuiseuxSeries, to_text
 from .verify import (
     IdentityRecord,
     InsufficientRowsError,
@@ -34,7 +34,9 @@ from .verify import (
     check,
     check_record,
     discover,
+    evaluate,
     load_registry,
+    parse_expression,
     registry,
 )
 
@@ -95,8 +97,8 @@ def _build_parser() -> _Parser:
             sub.add_argument("--registry", metavar="PATH", default=None,
                              help="replace the built-in identity registry")
 
-    expand = commands.add_parser("expand", help="print a named series")
-    expand.add_argument("name")
+    expand = commands.add_parser("expand", help="print the series of an expression")
+    expand.add_argument("expression")
     common(expand, with_registry=False)
 
     verify = commands.add_parser("verify", help="check one identity")
@@ -106,8 +108,8 @@ def _build_parser() -> _Parser:
     verify_all = commands.add_parser("verify-all", help="check every identity")
     common(verify_all, with_registry=True)
 
-    disc = commands.add_parser("discover", help="find rational linear relations")
-    disc.add_argument("names", nargs="+")
+    disc = commands.add_parser("discover", help="find rational linear relations among expressions")
+    disc.add_argument("expressions", nargs="+")
     common(disc, with_registry=False)
     return parser
 
@@ -126,13 +128,13 @@ def parse_args(argv: Sequence[str]) -> Command:
         _parser = _build_parser()
     ns = _parser.parse_args(list(argv))
     if ns.verb == "expand":
-        targets: tuple[str, ...] = (ns.name,)
+        targets: tuple[str, ...] = (ns.expression,)
     elif ns.verb == "verify":
         targets = (ns.id,)
     elif ns.verb == "discover":
-        if len(ns.names) < 2:
-            raise UsageError("discover needs at least two series names")
-        targets = tuple(ns.names)
+        if len(ns.expressions) < 2:
+            raise UsageError("discover needs at least two series expressions")
+        targets = tuple(ns.expressions)
     else:
         targets = ()
     return Command(ns.verb, targets, ns.order, ns.json, getattr(ns, "registry", None))
@@ -196,8 +198,15 @@ def execute(cmd: Command) -> int:
     return _run_discover(cmd)
 
 
+def _series(target: str, order: Fraction) -> PuiseuxSeries:
+    value = evaluate(parse_expression(target), order)
+    if not isinstance(value, PuiseuxSeries):
+        raise ValueError(f"{target!r} is a two-variable series; specialize it to one variable")
+    return value
+
+
 def _run_expand(cmd: Command) -> int:
-    series = named_series(cmd.targets[0], cmd.order)
+    series = _series(cmd.targets[0], cmd.order)
     if cmd.machine:
         payload = {
             "name": cmd.targets[0],
@@ -235,7 +244,7 @@ def _run_verify_all(cmd: Command) -> int:
 
 
 def _run_discover(cmd: Command) -> int:
-    series = [named_series(name, cmd.order) for name in cmd.targets]
+    series = [_series(target, cmd.order) for target in cmd.targets]
     try:
         relations = discover(series, cmd.order)
     except InsufficientRowsError as exc:

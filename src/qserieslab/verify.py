@@ -251,7 +251,8 @@ def evaluate(expr: Expr, order: Rational) -> Value:
         probe = evaluate(expr.child, 0)
         if not isinstance(probe, bv.BivariateSeries):
             raise EvaluationError("specialize needs a two-variable series")
-        zmin, zmax, width = probe.zmin, probe.zmax, 0
+        # widths up to min(-zmin, zmax) leave the probe's own window as it is
+        zmin, zmax, width = probe.zmin, probe.zmax, max(0, min(-probe.zmin, probe.zmax))
         while (bound := bv._excluded_floor(probe.floor, zmin, zmax, r, w)) is not None and bound < o:
             width += 1
             zmin, zmax = min(probe.zmin, -width), max(probe.zmax, width)
@@ -375,9 +376,7 @@ def check(
 # The built-in registry
 # --------------------------------------------------------------------------
 
-_DEFAULT_ORDER = Fraction(50)
-
-# Scalar records in the same line format the --registry override accepts.
+# Every built-in record, in the line format the --registry override accepts.
 _BUILTIN_TEXT = """
 RR-1     | 50 | chi:2,5,1,1 | rr:1
 RR-2     | 50 | chi:2,5,1,2 | rr:2
@@ -391,6 +390,16 @@ RAMANUJAN  | 50 | a22:basic | chi:2,5,1,2@q^1/3 * chi:2,5,1,2@q^1/2 + chi:2,5,1,
 DECOMP-1.4 | 50 | a22:basic * a22:basic | a22:2L1 * chi:2,5,1,2@q^1/2 + mono(1,-1/6) * a22:L0 * chi:2,5,1,1@q^1/2
 SIGNED-1/2-40 | 50 | chi:5,6,2,2 - chi:5,6,2,4 | chi:2,5,1,2@-q^1/2
 SIGNED-1/2-8  | 50 | chi:5,6,1,2 - chi:5,6,1,4 | chi:2,5,1,1@-q^1/2
+QPI     | 50 | qlhs(-25,25) | qrhs(-25,25)
+# WANTED's product: (q)_inf divided by the product of (1-q^((5n+2)/2)) and (1-q^((5n+3)/2))
+WANTED  | 50 | theta(30, -4,0,1, 16,2,-1, -14,3/2,1, 26,11/2,-1) | prod(1,1,1,1, 1,1,5/2,-1, 1,3/2,5/2,-1)
+WANTED3 | 50 | qlhs(-25,25) | btheta(-25,25, 1,12,2,0,6,1, -1,12,14,4,6,4, 1,12,-2,0,6,0, -1,12,10,2,6,3)
+# (1+q^(3/2)) prod (1-q^(5n))(1-q^(10n-8))(1-q^(10n-2))(1+q^(5n-3/2))(1+q^(5n+3/2)),
+# with the lone (1+q^(3/2)) folded into the (1+q^(5n+3/2)) progression
+EASY    | 50 | prod(-1,3/2,5,1, 1,5,5,1, 1,2,10,1, 1,8,10,1, -1,7/2,5,1) | prod(1,1,1,1, 1,1,5/2,-1, 1,3/2,5/2,-1)
+SPECIALIZE-L | 50 | mono(1,3/2) * specialize(qlhs(-25,25), 5/2, -3/2) | theta(30, -4,0,1, 16,2,-1, -14,3/2,1, 26,11/2,-1)
+SPECIALIZE-R | 50 | mono(1,3/2) * specialize(qrhs(-25,25), 5/2, -3/2) | prod(-1,3/2,5,1, 1,5,5,1, 1,2,10,1, 1,8,10,1, -1,7/2,5,1)
+APPENDIX-DISPLAY | 50 | mono(1,11/120) * theta(30, -4,0,1, 16,2,-1, -14,3/2,1, 26,11/2,-1) * inv(prod(1,1,1,1)) | chi:5,6,1,2 + chi:5,6,1,4
 """
 
 _DESCRIPTIONS = {
@@ -416,83 +425,11 @@ _DESCRIPTIONS = {
     "SIGNED-1/2-8": "signed trace at h=1/8 equals the signed sqrt-q substitution of the first (2,5) character",
 }
 
-_WINDOW = (-25, 25)
-
-# Theta data for the four-branch sum: A = 30, branches (B, C, sign).
-_WANTED_THETA = ThetaSumSpec(
-    Fraction(30),
-    (
-        ThetaBranch(Fraction(-4), Fraction(0), 1),
-        ThetaBranch(Fraction(16), Fraction(2), -1),
-        ThetaBranch(Fraction(-14), Fraction(3, 2), 1),
-        ThetaBranch(Fraction(26), Fraction(11, 2), -1),
-    ),
-)
-
-# (q)_inf divided by the product of (1-q^((5n+2)/2)) and (1-q^((5n+3)/2)).
-_WANTED_PRODUCT = ProductSpec(
-    (
-        ProductFactor(1, Fraction(1), Fraction(1), 1),
-        ProductFactor(1, Fraction(1), Fraction(5, 2), -1),
-        ProductFactor(1, Fraction(3, 2), Fraction(5, 2), -1),
-    )
-)
-
-# (1+q^(3/2)) prod (1-q^(5n))(1-q^(10n-8))(1-q^(10n-2))(1+q^(5n-3/2))(1+q^(5n+3/2)),
-# with the lone (1+q^(3/2)) folded into the (1+q^(5n+3/2)) progression.
-_EASY_PRODUCT = ProductSpec(
-    (
-        ProductFactor(-1, Fraction(3, 2), Fraction(5), 1),
-        ProductFactor(1, Fraction(5), Fraction(5), 1),
-        ProductFactor(1, Fraction(2), Fraction(10), 1),
-        ProductFactor(1, Fraction(8), Fraction(10), 1),
-        ProductFactor(-1, Fraction(7, 2), Fraction(5), 1),
-    )
-)
-
-# Euler function as a plain product, for expression-tree building.
-_PHI_PRODUCT = ProductSpec((ProductFactor(1, Fraction(1), Fraction(1), 1),))
-
-_WANTED3_BRANCHES = (
-    (1, Fraction(12), Fraction(2), Fraction(0), 6, 1),
-    (-1, Fraction(12), Fraction(14), Fraction(4), 6, 4),
-    (1, Fraction(12), Fraction(-2), Fraction(0), 6, 0),
-    (-1, Fraction(12), Fraction(10), Fraction(2), 6, 3),
-)
-
-
 @lru_cache(maxsize=1)
 def registry() -> tuple[IdentityRecord, ...]:
-    """The built-in identity table; ids and order are stable across runs."""
-    records = list(parse_registry_text(_BUILTIN_TEXT))
-    zmin, zmax = _WINDOW
-    q_lhs = QuintupleLHS(zmin, zmax)
-    q_rhs = QuintupleRHS(zmin, zmax)
-    chain_l = Product((Mono(Fraction(1), Fraction(3, 2)), Specialize(q_lhs, Fraction(5, 2), Fraction(-3, 2))))
-    chain_r = Product((Mono(Fraction(1), Fraction(3, 2)), Specialize(q_rhs, Fraction(5, 2), Fraction(-3, 2))))
-    records.extend(
-        [
-            IdentityRecord("QPI", q_lhs, q_rhs, _DEFAULT_ORDER),
-            IdentityRecord("WANTED", ThetaExpr(_WANTED_THETA), ProductExpr(_WANTED_PRODUCT), _DEFAULT_ORDER),
-            IdentityRecord("WANTED3", q_lhs, BivariateThetaExpr(_WANTED3_BRANCHES, zmin, zmax), _DEFAULT_ORDER),
-            IdentityRecord("EASY", ProductExpr(_EASY_PRODUCT), ProductExpr(_WANTED_PRODUCT), _DEFAULT_ORDER),
-            IdentityRecord("SPECIALIZE-L", chain_l, ThetaExpr(_WANTED_THETA), _DEFAULT_ORDER),
-            IdentityRecord("SPECIALIZE-R", chain_r, ProductExpr(_EASY_PRODUCT), _DEFAULT_ORDER),
-            IdentityRecord(
-                "APPENDIX-DISPLAY",
-                Product(
-                    (Mono(Fraction(1), Fraction(11, 120)), ThetaExpr(_WANTED_THETA), Inv(ProductExpr(_PHI_PRODUCT)))
-                ),
-                parse_expression("chi:5,6,1,2 + chi:5,6,1,4"),
-                _DEFAULT_ORDER,
-            ),
-        ]
-    )
-    with_notes = [
-        IdentityRecord(r.id, r.lhs, r.rhs, r.default_order, _DESCRIPTIONS.get(r.id, r.description))
-        for r in records
-    ]
-    return tuple(with_notes)
+    """The built-in identity table, parsed from _BUILTIN_TEXT; ids and order
+    are stable across runs."""
+    return tuple(replace(r, description=_DESCRIPTIONS[r.id]) for r in parse_registry_text(_BUILTIN_TEXT))
 
 
 # --------------------------------------------------------------------------
@@ -603,40 +540,81 @@ def _echelon(matrix: list[list[int]], cols: int) -> tuple[list[list[int]], list[
 # Registry text format
 # --------------------------------------------------------------------------
 
-_NUMBER_TOKEN = re.compile(r"-?\d+(?:/\d+)?")
-_FUNC_TOKEN = re.compile(r"(subsigned|sub|inv|mono)\s*\(")
+_NUMBER = r"-?\d+(?:/\d+)?"
+# form: (usage, leading expressions, numbers, numbers per repeated group)
+_FORMS = {
+    "inv": ("inv(e)", 1, 0, 0),
+    "sub": ("sub(e, r)", 1, 1, 0),
+    "subsigned": ("subsigned(e, r)", 1, 1, 0),
+    "mono": ("mono(c, e)", 0, 2, 0),
+    "prod": ("prod(s,a,d,p, ...)", 0, 0, 4),
+    "theta": ("theta(A, B,C,s, ...)", 0, 1, 3),
+    "qlhs": ("qlhs(zmin, zmax)", 0, 2, 0),
+    "qrhs": ("qrhs(zmin, zmax)", 0, 2, 0),
+    "btheta": ("btheta(zmin, zmax, s,A,B,C,E,F, ...)", 0, 2, 6),
+    "specialize": ("specialize(e, r, w)", 1, 2, 0),
+}
+# One match per token, a comma-separated run of numbers being one token;
+# every character but whitespace falls in some token, if only in "bad".
+_TOKEN_RE = re.compile(
+    rf"(?P<func>{'|'.join(_FORMS)})\s*\(|(?P<name>{_NAME_RE.pattern})"
+    rf"|(?P<numbers>{_NUMBER}(?:\s*,\s*{_NUMBER})*)|(?P<punct>[-+*(),])|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(("name", m.group()))
-            i = m.end()
-            continue
-        m = _FUNC_TOKEN.match(text, i)
-        if m:
-            tokens.append(("func", m.group(1)))
-            tokens.append(("punct", "("))
-            i = m.end()
-            continue
-        m = _NUMBER_TOKEN.match(text, i)
-        if m:
-            tokens.append(("number", m.group()))
-            i = m.end()
-            continue
-        if ch in "+-*(),":
-            tokens.append(("punct", ch))
-            i += 1
-            continue
-        raise ValueError(f"unexpected character {ch!r} in expression: {text!r}")
+    tokens = [(m.lastgroup, m.group(m.lastgroup)) for m in _TOKEN_RE.finditer(text)]
+    for kind, value in tokens:
+        if kind == "bad":
+            raise ValueError(f"unexpected character {value!r} in expression: {text!r}")
     return tokens
+
+
+def _int(x: Fraction, what: str) -> int:
+    if x.denominator != 1:
+        raise ValueError(f"{what} must be an integer, got {x}")
+    return x.numerator
+
+
+def _sign(x: Fraction) -> int:
+    if x not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {x}")
+    return x.numerator
+
+
+def _window(zmin: Fraction, zmax: Fraction) -> tuple[int, int]:
+    window = _int(zmin, "window"), _int(zmax, "window")
+    if zmin > zmax:
+        raise ValueError(f"empty z-window [{zmin}, {zmax}]")
+    return window
+
+
+def _build(form: str, child: Optional[Expr], nums: list[Fraction]) -> Expr:
+    """The node of a function form whose arguments have the form's shape;
+    zip(*[iter(nums)] * k) reads the numbers in groups of k."""
+    if form in ("sub", "subsigned", "specialize") and nums[0] <= 0:
+        raise ValueError(f"{form} ratio must be positive, got {nums[0]}")
+    if form == "inv":
+        return Inv(child)
+    if form in ("sub", "subsigned"):
+        return (Subst if form == "sub" else SubstSigned)(child, nums[0])
+    if form == "mono":
+        return Mono(*nums)
+    if form == "prod":
+        factors = (ProductFactor(_sign(s), a, d, _int(p, "power")) for s, a, d, p in zip(*[iter(nums)] * 4))
+        return ProductExpr(ProductSpec(tuple(factors)))
+    if form == "theta":
+        branches = (ThetaBranch(b, c, _sign(s)) for b, c, s in zip(*[iter(nums[1:])] * 3))
+        return ThetaExpr(ThetaSumSpec(nums[0], tuple(branches)))
+    if form in ("qlhs", "qrhs"):
+        return (QuintupleLHS if form == "qlhs" else QuintupleRHS)(*_window(*nums))
+    if form == "btheta":
+        shapes = zip(*[iter(nums[2:])] * 6)
+        branches = tuple((_sign(s), a, b, c, _int(e, "z-step"), _int(f, "z-offset")) for s, a, b, c, e, f in shapes)
+        for branch in branches:
+            bv.FloorBranch(*branch[1:])  # A > 0 and E > 0
+        return BivariateThetaExpr(branches, *_window(*nums[:2]))
+    return Specialize(child, *nums)
 
 
 class _ExprParser:
@@ -653,15 +631,10 @@ class _ExprParser:
     def _peek(self) -> Optional[tuple[str, str]]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def _take(self, kind: str, value: Optional[str] = None) -> str:
-        tok = self._peek()
-        if tok is None or tok[0] != kind or (value is not None and tok[1] != value):
-            raise ValueError(f"expected {value or kind}, got {tok}")
+    def _take(self, punct: str) -> None:
+        if (tok := self._peek()) != ("punct", punct):
+            raise ValueError(f"expected {punct!r}, got {tok}")
         self.pos += 1
-        return tok[1]
-
-    def _number(self) -> Fraction:
-        return _parse_frac(self._take("number"))
 
     def _expr(self) -> Expr:
         terms = [(1, self._term())]
@@ -681,42 +654,48 @@ class _ExprParser:
         tok = self._peek()
         if tok is None:
             raise ValueError("unexpected end of expression")
+        self.pos += 1
         kind, value = tok
         if kind == "name":
-            self.pos += 1
             return Name(value)
-        if kind == "punct" and value == "(":
-            self.pos += 1
-            inner = self._expr()
-            self._take("punct", ")")
-            return inner
         if kind == "func":
-            self.pos += 1
-            self._take("punct", "(")
-            if value == "inv":
-                child = self._expr()
-                self._take("punct", ")")
-                return Inv(child)
-            if value in ("sub", "subsigned"):
-                child = self._expr()
-                self._take("punct", ",")
-                ratio = self._number()
-                if ratio <= 0:
-                    raise ValueError(f"{value} ratio must be positive, got {ratio}")
-                self._take("punct", ")")
-                return Subst(child, ratio) if value == "sub" else SubstSigned(child, ratio)
-            coeff = self._number()
-            self._take("punct", ",")
-            exponent = self._number()
-            self._take("punct", ")")
-            return Mono(coeff, exponent)
+            return self._call(value)
+        if tok == ("punct", "("):
+            inner = self._expr()
+            self._take(")")
+            return inner
         raise ValueError(f"unexpected token {tok} in expression")
+
+    def _call(self, form: str) -> Expr:
+        """The one argument reader of every function form, after its opening
+        parenthesis: expressions and runs of numbers up to the closing one."""
+        args: list[Union[Expr, Fraction]] = []
+        while self._peek() != ("punct", ")"):
+            if args:
+                self._take(",")
+            tok = self._peek()
+            if tok is not None and tok[0] == "numbers":
+                self.pos += 1
+                args.extend(_parse_frac(x) for x in tok[1].split(","))
+            else:
+                args.append(self._expr())
+        self.pos += 1
+        usage, children, fixed, group = _FORMS[form]
+        numbers = args[children:]
+        count = len(numbers) - fixed
+        kinds = [isinstance(a, Expr) for a in args]
+        if kinds != [True] * children + [False] * len(numbers) or count < 0 or (count % group if group else count):
+            raise ValueError(f"expected {usage}, got {len(args)} arguments to {form}")
+        return _build(form, args[0] if children else None, numbers)
 
 
 def parse_expression(text: str) -> Expr:
-    """Parse the line grammar: names, e+e, e-e, e*e, inv(e), sub(e,r),
-    subsigned(e,r), mono(c,e), with parentheses allowed.  A chain of + and -
-    is one flat Sum, a chain of * one flat Product; * binds tighter."""
+    """Parse the line grammar: names, e+e, e-e, e*e, parentheses and the
+    function forms of _FORMS.  A chain of + and - is one flat Sum, a chain
+    of * one flat Product; * binds tighter.  A form with the wrong count or
+    kind of arguments, a sign other than +-1, a non-integer power, window or
+    z-step, a power 0, an empty window, A <= 0, E <= 0 or a ratio r <= 0
+    raises ValueError here, before anything is evaluated."""
     return _ExprParser(text).parse()
 
 

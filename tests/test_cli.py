@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 import qserieslab
 from qserieslab import characters, lattice, products
 from qserieslab.cli import Command, UsageError, main, parse_args
+from qserieslab.series import invert, to_text
 
 
 def run(capsys, *argv):
@@ -88,6 +89,18 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "nope:1")
         assert code == 2
         assert "nope:1" in err
+
+    def test_expression(self, capsys):
+        code, out, err = run(capsys, "expand", "inv(a22:basic)", "--order", "50")
+        assert (code, err) == (0, "")
+        assert out == to_text(invert(characters.named_series("a22:basic", 50)))
+
+    def test_two_variable_expression_exits_2(self, capsys):
+        assert run_alone("expand", "qlhs(-3,3)") == (
+            2,
+            "",
+            "error: 'qlhs(-3,3)' is a two-variable series; specialize it to one variable\n",
+        )
 
 
 class TestVerify:
@@ -253,6 +266,44 @@ class TestDiscover:
         code, _, _ = run(capsys, "discover", "rr:1", "bogus", "--order", "20")
         assert code == 2
 
+    def test_parenthesised_sum_target(self, capsys):
+        code, out, _ = run(
+            capsys, "discover", "(chi:5,6,1,2 + chi:5,6,1,4)", "chi:2,5,1,1@q^1/2", "--order", "30"
+        )
+        assert code == 0
+        assert out.strip() == "relation: 1/1 -1/1"
+
+    def test_two_variable_target_exits_2(self, capsys):
+        code, out, err = run(capsys, "discover", "rr:1", "qrhs(-3,3) - qlhs(-3,3)", "--order", "20")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+
+
+# Function forms the parser rejects, each with the start of its message.
+_MALFORMED_FORMS = [
+    ("prod(1,1,1)", "expected prod(s,a,d,p, ...), got 3 arguments to prod"),
+    ("mono(rr:1, 0)", "expected mono(c, e), got 2 arguments to mono"),
+    ("inv(rr:1, 2)", "expected inv(e), got 2 arguments to inv"),
+    ("specialize(qlhs(-3,3), 5/2)", "expected specialize(e, r, w), got 2 arguments to specialize"),
+    ("theta(1, 0,0)", "expected theta(A, B,C,s, ...), got 3 arguments to theta"),
+    ("btheta(-3,3, 1,1,0,0,3)", "expected btheta(zmin, zmax, s,A,B,C,E,F, ...), got 7 arguments to btheta"),
+    ("qlhs(-3)", "expected qlhs(zmin, zmax), got 1 arguments to qlhs"),
+    ("prod(1/2,1,1,1)", "sign must be +1 or -1, got 1/2"),
+    ("theta(1, 0,0,2)", "sign must be +1 or -1, got 2"),
+    ("btheta(-3,3, 0,1,0,0,3,0)", "sign must be +1 or -1, got 0"),
+    ("prod(1,1,1,1/2)", "power must be an integer, got 1/2"),
+    ("prod(1,1,1,0)", "factor power must be nonzero"),
+    ("qlhs(-1/2,3)", "window must be an integer, got -1/2"),
+    ("qrhs(3,-3)", "empty z-window [3, -3]"),
+    ("btheta(2,1)", "empty z-window [2, 1]"),
+    ("btheta(-3,3, 1,1,0,0,3/2,0)", "z-step must be an integer, got 3/2"),
+    ("theta(0, 0,0,1)", "quadratic coefficient must be positive"),
+    ("btheta(-3,3, 1,-1,0,0,3,0)", "need positive quadratic coefficient and z-step"),
+    ("btheta(-3,3, 1,1,0,0,0,0)", "need positive quadratic coefficient and z-step"),
+    ("specialize(qlhs(-3,3), 0, 1)", "specialize ratio must be positive, got 0"),
+    ("specialize(qlhs(-3,3), -5/2, 1)", "specialize ratio must be positive, got -5/2"),
+]
+
 
 class TestMainUsage:
     def test_usage_error_exit_two(self, capsys):
@@ -297,6 +348,7 @@ class TestMainUsage:
         "line, message",
         [
             pytest.param("B | 10 | rr:1 + | rr:1", "unexpected end of expression", id="unexpected-end"),
+            *(pytest.param(f"B | 10 | {form} | rr:1", message, id=form) for form, message in _MALFORMED_FORMS),
             pytest.param(
                 "B | 5 | " + "(" * 1200 + "rr:1" + ")" * 1200 + " | rr:1",
                 "maximum recursion depth exceeded",

@@ -746,10 +746,37 @@ _characters = st.one_of(
 )
 
 
+_btheta_branches = st.builds(
+    "{},{},{},{},{},{}".format,
+    st.sampled_from([1, -1]),
+    st.sampled_from(["1/2", "1", "3", "12"]),
+    st.sampled_from(["-2", "0", "3/2", "14"]),
+    st.sampled_from(["0", "1/2", "4"]),
+    st.integers(1, 6),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def _specializations(draw):
+    """specialize(...) over a sum of one to three quintuple sides and
+    two-variable theta sums on one window within +-6."""
+    window = f"{draw(st.integers(-6, 0))},{draw(st.integers(0, 6))}"
+    leaf = st.one_of(
+        st.just(f"qlhs({window})"),
+        st.just(f"qrhs({window})"),
+        st.lists(_btheta_branches, max_size=2).map(lambda branches: f"btheta({', '.join([window, *branches])})"),
+    )
+    first, *rest = draw(st.lists(leaf, min_size=1, max_size=3))
+    total = first + "".join(f" {draw(st.sampled_from('+-'))} {term}" for term in rest)
+    return f"specialize({total}, {draw(st.sampled_from(['1', '5/2']))}, {draw(st.sampled_from(['-3/2', '0', '1/2']))})"
+
+
 def grammar_products(inverses: bool):
-    """Flat product chains of 2 to 5 factors over the leaves above, where a
-    factor may be a parenthesised product or sum of two leaves."""
-    leaf = st.one_of(_monos, _characters)
+    """Flat product chains of 2 to 5 factors over the leaves above and
+    specializations, where a factor may be a parenthesised product or sum of
+    two leaves."""
+    leaf = st.one_of(_monos, _characters, _specializations())
     if inverses:
         leaf = st.one_of(leaf, leaf.map("inv({})".format))
     factor = st.one_of(

@@ -24,7 +24,7 @@ from qserieslab import (
     twisted_trace,
     zero,
 )
-from qserieslab import verify
+from qserieslab import bivariate, verify
 from qserieslab.characters import WModule
 from qserieslab.verify import (
     BivariateThetaExpr,
@@ -233,6 +233,21 @@ class TestCheck:
         assert report.status is Status.PASS
         assert report.order_checked == 600
         assert report.mismatch is None
+
+    def test_window_search_starts_at_the_childs_window(self, monkeypatch):
+        # widths 0 to 25 all leave the +-25 window as it is, so the search
+        # bounds it once and widens from there; specialize bounds the last
+        windows = []
+        excluded_floor = bivariate._excluded_floor
+
+        def spy(floor, zmin, zmax, r, w):
+            windows.append((zmin, zmax))
+            return excluded_floor(floor, zmin, zmax, r, w)
+
+        monkeypatch.setattr(bivariate, "_excluded_floor", spy)
+        value = evaluate(parse_expression("specialize(qlhs(-25,25), 5/2, -3/2)"), 600)
+        assert value.order == 600
+        assert windows == [(-25, 25), (-26, 26), (-27, 27), (-28, 28), (-28, 28)]
 
     def test_mismatch_below_certification_still_fails(self):
         # sides that differ inside the certified range report FAIL, not
