@@ -33,7 +33,6 @@ from .series import (
     _frac,
     _from_grid,
     _shift,
-    _sparse,
     _unpack,
     compare,
     monomial,
@@ -160,7 +159,7 @@ def quintuple_lhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
             exponent = 3 * m * m + m
         else:
             continue
-        layers[k] = monomial(1 if m % 2 == 0 else -1, exponent, 1, o)
+        layers[k] = _from_grid(1, (exponent,), (1 if m % 2 == 0 else -1,), 1, o)
     return bivariate_from_layers(layers, window, o, QUINTUPLE_FLOOR)
 
 
@@ -204,8 +203,8 @@ def quintuple_rhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
     zmin, zmax = window
     lo = max(zmin + lift, 0)
     count = max(zmax + lift + 1 - lo, 0)
-    columns = zip(*[_digits(row, w, lo, count) for row in rows])
-    layers = {lo - lift + i: _from_grid(1, *_sparse(list(column), 0, 2), 1, o) for i, column in enumerate(columns)}
+    columns = _window_digits(rows, w, lo, count)
+    layers = {lo - lift + i: _from_grid(1, exps, nums, 1, o) for i, (exps, nums) in enumerate(columns) if exps}
     return bivariate_from_layers(layers, window, o, QUINTUPLE_FLOOR)
 
 
@@ -213,12 +212,28 @@ def quintuple_rhs(q_order: Rational, window: tuple[int, int]) -> BivariateSeries
 _QUINTUPLE_FAMILIES = ((1, 1, 0, 1), (-1, 1, 1, 1), (1, 1, 2, 2), (-1, 1, -1, 1), (1, 1, -2, 2))
 
 
-def _digits(row: int, w: int, lo: int, count: int) -> list[int]:
-    """Digits lo to lo + count - 1 of row in balanced base 2^w, every digit
-    below 2^(w-1) in size.  The digits below lo then sum to less than
-    2^(w*lo - 1) in size, so rounding row / 2^(w*lo) to the nearest integer
-    drops them exactly, and series._unpack reads the rest."""
-    return _unpack((row + (1 << w * lo >> 1)) >> w * lo, w // 8, count)
+def _window_digits(rows: Sequence[int], w: int, lo: int, count: int) -> list[tuple[list[int], list[int]]]:
+    """Digits lo to lo + count - 1 of the rows in balanced base 2^w, every
+    digit below 2^(w-1) in size: for digit lo + i, the q-exponents 2E of the
+    rows E where it is nonzero and the digits there, ascending.
+
+    The digits below lo sum to less than 2^(w*lo - 1) in size, so rounding
+    row / 2^(w*lo) to the nearest integer drops them exactly, leaving x.  The
+    window's digits c_k of x sum to S = sum c_k 2^(w*k) with |S| below
+    2^(w*count - 1), so x = S modulo 2^(w*count) is 0 only when every c_k is:
+    such a row is skipped, and series._unpack reads the others."""
+    columns: list[tuple[list[int], list[int]]] = [([], []) for _ in range(count)]
+    shift = w * lo
+    rounding = 1 << shift >> 1
+    mask = (1 << w * count) - 1
+    for e, row in enumerate(rows):
+        x = (row + rounding) >> shift
+        if x & mask:
+            for (exps, nums), c in zip(columns, _unpack(x, w // 8, count)):
+                if c:
+                    exps.append(2 * e)
+                    nums.append(c)
+    return columns
 
 
 def _digit_width(half: int) -> int:
@@ -302,8 +317,10 @@ def compare_bivariate(a: BivariateSeries, b: BivariateSeries, order: Rational) -
         raise InsufficientOrderError(
             f"compare to {o} exceeds certified orders ({a.order}, {b.order})"
         )
+    layers_a, layers_b = dict(a.layers), dict(b.layers)
+    zero_a, zero_b = zero(a.order), zero(b.order)
     for k in range(max(a.zmin, b.zmin), min(a.zmax, b.zmax) + 1):
-        found = compare(a.layer(k), b.layer(k), o)
+        found = compare(layers_a.get(k, zero_a), layers_b.get(k, zero_b), o)
         if found is not None:
             return Mismatch(found.exponent, found.lhs, found.rhs, z_exponent=k)
     return None

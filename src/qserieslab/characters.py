@@ -179,11 +179,12 @@ def a22_char(module: A22Module, order: Rational) -> PuiseuxSeries:
     Lambda_0 module an additional q^(1/6).
     """
     o = _frac(order)
-    if module is A22Module.BASIC_LAMBDA1:
-        return expand_product(_A22_BASIC, o)
-    # asked for max(o, 0) + 1, both factors lead just below 0: the product reaches o
+    # asked for max(o, 0) + 1, both factors lead just below 0: the product
+    # reaches o; every module reads the basic product at this one cushion
     cushion = max(o, 0) + 1
     basic = expand_product(_A22_BASIC, cushion)
+    if module is A22Module.BASIC_LAMBDA1:
+        return truncate(basic, o)
     if module is A22Module.TWO_LAMBDA1:
         factor = substitute(_minimal_char(2, 5, 1, 2, 3 * cushion), Fraction(1, 3))
         return truncate(mul(basic, factor), o)

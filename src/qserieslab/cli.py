@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .series import EmptySeriesError, GradingError, PuiseuxSeries, to_text
+from .series import EmptySeriesError, GradingError, PuiseuxSeries, to_text, truncate
 from .verify import (
     IdentityRecord,
     InsufficientRowsError,
@@ -207,6 +207,8 @@ def _series(target: str, order: Fraction) -> PuiseuxSeries:
 
 def _run_expand(cmd: Command) -> int:
     series = _series(cmd.targets[0], cmd.order)
+    if series.order > cmd.order:  # a product or an inverse can certify past its request
+        series = truncate(series, cmd.order)
     if cmd.machine:
         payload = {
             "name": cmd.targets[0],

@@ -28,6 +28,7 @@ from qserieslab.bivariate import (
 )
 from qserieslab.products import ProductFactor, ProductSpec
 from qserieslab.products import _times_family as times_family
+from qserieslab.series import _unpack as unpack
 from qserieslab.lattice import ThetaBranch, ThetaSumSpec
 from oracles import family_product, quintuple_product_layers
 
@@ -118,6 +119,21 @@ class TestQuintupleRHSLayout:
         assert calls[5:] == [
             (half, s, 1, d, dz * w) for s, d, dz in ((1, 1, 0), (-1, 1, 1), (1, 2, 2), (-1, 1, -1), (1, 2, -2))
         ]
+
+    def test_unpacks_only_rows_with_a_nonzero_window_digit(self, monkeypatch):
+        # at order 600 the window (-25, 25) holds a term in 17 of the 300 rows,
+        # those of q^(3m^2 - m) for |m| <= 8, each on two layers: no other row
+        # is unpacked
+        calls = []
+
+        def spy(n, nbytes, count):
+            calls.append(count)
+            return unpack(n, nbytes, count)
+
+        monkeypatch.setattr(bivariate, "_unpack", spy)
+        b = quintuple_rhs(F(600), (-25, 25))
+        assert calls == [51] * 17
+        assert len({e for _, layer in b.layers for e in layer.exps}) == 17
 
     def test_digit_width_holds_the_majorant(self):
         # QPI's coefficients are all 0 or +-1, so no output shows a width too

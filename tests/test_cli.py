@@ -19,8 +19,9 @@ from hypothesis import given, strategies as st
 
 import qserieslab
 from qserieslab import characters, lattice, products
+from qserieslab import cli
 from qserieslab.cli import Command, UsageError, main, parse_args
-from qserieslab.series import invert, to_text
+from qserieslab.series import invert, to_text, truncate
 
 
 def run(capsys, *argv):
@@ -91,9 +92,29 @@ class TestExpand:
         assert "nope:1" in err
 
     def test_expression(self, capsys):
+        # the inverse certifies past its request, and expand prints only the request
         code, out, err = run(capsys, "expand", "inv(a22:basic)", "--order", "50")
         assert (code, err) == (0, "")
-        assert out == to_text(invert(characters.named_series("a22:basic", 50)))
+        assert out == to_text(truncate(invert(characters.named_series("a22:basic", 50)), 50))
+        assert out.splitlines()[0] == "D=72 O=50/1"
+
+    # a name or a sum certifies its request; a product of factors that lead
+    # below q^0, or an inverse, can certify more, and only then is a copy made
+    @pytest.mark.parametrize(
+        "target, certified",
+        [("rr:1", None), ("rr:1 + rr:2", None), ("rr:1 * rr:2", F(3011, 60)), ("inv(a22:basic)", F(1801, 36))],
+    )
+    def test_truncates_only_past_the_request(self, capsys, monkeypatch, target, certified):
+        calls = []
+
+        def spy(a, order):
+            calls.append(a.order)
+            return truncate(a, order)
+
+        monkeypatch.setattr(cli, "truncate", spy)
+        code, out, _ = run(capsys, "expand", target, "--order", "50")
+        assert code == 0 and out.splitlines()[0].endswith(" O=50/1")
+        assert calls == ([] if certified is None else [certified])
 
     def test_two_variable_expression_exits_2(self, capsys):
         assert run_alone("expand", "qlhs(-3,3)") == (

@@ -109,6 +109,28 @@ def test_uncertified_result_is_not_truncated():
     assert short.__name__ == "short"
 
 
+def test_decomposition_expands_the_basic_product_once(monkeypatch):
+    # DECOMP-1.4 reads a22:basic, a22:2L1 and a22:L0, all of them built on the
+    # basic product: every module asks for it at one cushion, so past the
+    # order-0 probes it is expanded at one order and the rest are memo hits
+    from qserieslab.verify import Status, check
+
+    expand_product = characters.expand_product
+    expanded = []
+
+    def spy(spec, order):
+        misses = expand_product.cache_info().misses
+        out = expand_product(spec, order)
+        if spec == characters._A22_BASIC and expand_product.cache_info().misses > misses:
+            expanded.append(F(order))
+        return out
+
+    monkeypatch.setattr(characters, "expand_product", spy)
+    clear_all()
+    assert check("DECOMP-1.4", 500).status is Status.PASS
+    assert len([o for o in expanded if o >= 500]) == 1
+
+
 def test_every_module_memo_clears_and_reports():
     memos = module_memos()
     names = {memo.__name__ for memo in memos}

@@ -492,23 +492,37 @@ def test_shifted_times_family_matches_bivariate_oracle(case):
 
 @st.composite
 def balanced_rows(draw):
-    """A digit width w of 8 to 32 bits, up to 8 digits each below 2^(w-1) in
-    size, and a run of digits to read from lo, up to two past the top."""
-    w = 8 * draw(st.integers(1, 4))
+    """A digit width w of 8 to 160 bits, up to 6 rows of up to 8 digits each
+    below 2^(w-1) in size, and a run of digits to read from lo, up to two
+    past the top."""
+    w = 8 * draw(st.integers(1, 20))
     bound = 2 ** (w - 1) - 1
-    digits = draw(st.lists(st.integers(-bound, bound), max_size=8))
-    lo = draw(st.integers(0, len(digits)))
-    return w, digits, lo, draw(st.integers(0, len(digits) + 2 - lo))
+    digit = st.one_of(st.integers(-bound, bound), st.sampled_from([0, bound, -bound]))
+    rows = draw(st.lists(st.lists(digit, max_size=8), max_size=6))
+    top = max(map(len, rows), default=0)
+    lo = draw(st.integers(0, top))
+    return w, rows, lo, draw(st.integers(0, top + 2 - lo))
 
 
 @given(balanced_rows())
 # the digits below lo at their most negative: the rounding must not borrow
-@example((8, [-127, -127, 5], 2, 1))
-@example((16, [32767, 32767, -1], 2, 2))
+@example((8, [[-127, -127, 5]], 2, 1))
+@example((16, [[32767, 32767, -1]], 2, 2))
+# a zero window over digits just below lo at +-(2^(w-1) - 1): skipped
+@example((8, [[127, 127, 0, 0, 3], [-127, -127, 0, 0], [127, -127, 0, 0, -1]], 2, 2))
+# a zero window under nonzero digits above it, a negative row among them
+@example((16, [[1, 0, 0, 5], [0, 0, 0, -32767], [-5, 0, 0, 0, 1], [0, 0, 0]], 1, 2))
+# every digit of every row nonzero, at the extremes and beyond 64 bits
+@example((8, [[127, -127, 1, -1], [-127, 127, -1, 1]], 0, 4))
+@example((160, [[2**159 - 1, -(2**159) + 1, 1], [-1, 2**159 - 1, -(2**159) + 1]], 1, 2))
 def test_window_digits_read_balanced_rows(case):
-    w, digits, lo, count = case
-    row = sum(c << w * j for j, c in enumerate(digits))
-    assert bivariate._digits(row, w, lo, count) == (digits + [0] * (lo + count))[lo : lo + count]
+    w, rows, lo, count = case
+    columns = bivariate._window_digits([sum(c << w * j for j, c in enumerate(r)) for r in rows], w, lo, count)
+    expected = []
+    for j in range(lo, lo + count):
+        digits = [(2 * e, r[j]) for e, r in enumerate(rows) if j < len(r) and r[j]]
+        expected.append(([e for e, _ in digits], [c for _, c in digits]))
+    assert columns == expected
 
 
 factor_fractions = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
