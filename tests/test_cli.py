@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qserieslab
-from qserieslab import characters, lattice, products
-from qserieslab import cli
+from qserieslab import characters, cli, lattice, products
 from qserieslab.cli import Command, UsageError, main, parse_args
 from qserieslab.series import invert, to_text, truncate
 
