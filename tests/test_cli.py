@@ -85,6 +85,28 @@ class TestExpand:
         assert payload["O"] == "311/60"
         assert payload["terms"][0] == ["11/60", "1/1"]
 
+    # den > 1 and grading > 1: every exponent and coefficient is reduced on its own
+    @pytest.mark.parametrize(
+        "target, order, expected",
+        [
+            (
+                "mono(3/4,1/3) * rr:1",
+                "12",
+                '{"name":"mono(3/4,1/3) * rr:1","D":60,"O":"12/1","terms":[["31/60","3/4"],'
+                '["151/60","3/4"],["211/60","3/4"],["271/60","3/4"],["331/60","3/4"],["391/60","3/2"],'
+                '["451/60","3/2"],["511/60","9/4"],["571/60","9/4"],["631/60","3/1"],["691/60","3/1"]]}\n',
+            ),
+            (
+                "mono(3/4,1/3) * rr:1 + mono(-5/6,1/2) + mono(7,-3/4)",
+                "4",
+                '{"name":"mono(3/4,1/3) * rr:1 + mono(-5/6,1/2) + mono(7,-3/4)","D":60,"O":"4/1",'
+                '"terms":[["-3/4","7/1"],["1/2","-5/6"],["31/60","3/4"],["151/60","3/4"],["211/60","3/4"]]}\n',
+            ),
+        ],
+    )
+    def test_json_bytes(self, capsys, target, order, expected):
+        assert run(capsys, "expand", target, "--order", order, "--json") == (0, expected, "")
+
     def test_unknown_name_exits_2(self, capsys):
         code, _, err = run(capsys, "expand", "nope:1")
         assert code == 2
