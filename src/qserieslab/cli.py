@@ -214,7 +214,7 @@ def _run_expand(cmd: Command) -> int:
             "name": cmd.targets[0],
             "D": series.grading,
             "O": _frac_str(series.order),
-            "terms": [[_frac_str(e), _frac_str(c)] for e, c in series.terms],
+            "terms": [line.split(" ") for line in to_text(series).splitlines()[1:]],
         }
         print(json.dumps(payload, separators=(",", ":")))
     else:

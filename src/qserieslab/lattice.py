@@ -145,11 +145,11 @@ def fkw_character(order: Rational) -> PuiseuxSeries:
     bound = (isqrt(_ceil(40 * (oshift + 2))) + 33) // 20 + 1
     branches = []
     for w in weyl_group():
-        shifted = w.apply(RHO).scaled(5) - RHO.scaled(4)
-        sx, sy = shifted.x1, shifted.x2
+        (a, b), (c, d) = w.matrix  # w(rho) = (a + b, c + d), as rho = (1, 1)
+        sx, sy = 5 * (a + b) - 4, 5 * (c + d) - 4
         for n in range(-bound, bound + 1):
             vx = sx + 20 * n
-            branches.append(ThetaBranch(2 * sy - vx, (vx * vx - vx * sy + sy * sy) / 20, w.sign))
+            branches.append(ThetaBranch(2 * sy - vx, Fraction(vx * vx - vx * sy + sy * sy, 20), w.sign))
     theta = theta_sum(ThetaSumSpec(Fraction(20), tuple(branches)), oshift)
     return _shift(mul(theta, expand_product(_RECIPROCAL_PHI_SQUARED, oshift)), prefactor)
 
@@ -187,13 +187,17 @@ def theta_sum(spec: ThetaSumSpec, order: Rational) -> PuiseuxSeries:
     """Exact expansion of the theta sum mod q^order."""
     o = _frac(order)
     a = spec.quadratic
-    # Past every branch vertex the exponent grows in |m|; stop once a whole
-    # ring lands at or above the order from there on.
-    vertex = _ceil(max((abs(br.linear) for br in spec.branches), default=0) / (2 * a)) + 1
     # Every exponent A*m^2 + B*m + C is an integer numerator over the grid.
     grid = lcm(a.denominator, *(x.denominator for br in spec.branches for x in (br.linear, br.constant)))
-    quad = int(a * grid)
-    terms = [(int(br.linear * grid), int(br.constant * grid), br.sign) for br in spec.branches]
+
+    def on_grid(x: Fraction) -> int:
+        return x.numerator * (grid // x.denominator)
+
+    quad = on_grid(a)
+    terms = [(on_grid(br.linear), on_grid(br.constant), br.sign) for br in spec.branches]
+    # Past every branch vertex the exponent grows in |m|; stop once a whole
+    # ring lands at or above the order from there on.
+    vertex = -(-max((abs(lin) for lin, _, _ in terms), default=0) // (2 * quad)) + 1
     top = _ceil(o * grid)
     acc: dict[int, int] = {}
 

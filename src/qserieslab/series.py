@@ -555,7 +555,8 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
     the inverse at O_a - 2h, so that is the certified order of the result.
     On integers, with a = q^h * (u/den) * sum_k n_k q^(k*step), u = ±1 and
     n_0 > 0, the inverse's k-th coefficient is u * den * J_k / n_0^(k+1), where
-    J_0 = 1 and J_k = -sum_(i>=1) n_i * n_0^(i-1) * J_(k-i).
+    J_0 = 1 and J_k = -sum_(i>=1) n_i * n_0^(i-1) * J_(k-i), summed over the
+    nonzero weights n_i * n_0^(i-1) only.
     """
     if not a.exps:
         raise EmptySeriesError("cannot invert the zero series")
@@ -566,14 +567,19 @@ def invert(a: PuiseuxSeries) -> PuiseuxSeries:
         return _from_grid(d, [-exps[0]], [u * a.den], n0, order)
     step = gcd(*(x - exps[0] for x in exps))
     count = _ceil((order * d + exps[0]) / step)
-    coeffs = _dense(exps, _times(a.nums, u), step)
-    weights = [c * n0 ** (i - 1) if i else 0 for i, c in enumerate(coeffs[:count])]
+    weights = []  # (i, n_i * n_0^(i-1)) for the nonzero n_i, 0 < i < count
+    for x, c in zip(exps[1:], a.nums[1:]):
+        i = (x - exps[0]) // step
+        if i >= count:
+            break
+        weights.append((i, u * c * n0 ** (i - 1)))
     inv = [1]
     for n in range(1, count):
         s = 0
-        for k in range(1, min(n, len(weights) - 1) + 1):
-            if weights[k]:
-                s += weights[k] * inv[n - k]
+        for k, w in weights:
+            if k > n:
+                break
+            s += w * inv[n - k]
         inv.append(-s)
     nonzero = [n for n, j in enumerate(inv) if j]
     nums = [u * a.den * inv[n] * n0 ** (count - 1 - n) for n in nonzero]  # over n0^count
@@ -641,16 +647,29 @@ def compare(a: PuiseuxSeries, b: PuiseuxSeries, order: Rational) -> Optional[Mis
     return None
 
 
-def _fmt(num: int, den: int) -> str:
-    g = gcd(num, den)
-    return f"{num // g}/{den // g}"
-
-
 def to_text(a: PuiseuxSeries) -> str:
-    """Serialize: header `D=<int> O=<num>/<den>`, then one `exp coef` line per term."""
-    lines = [f"D={a.grading} O={_fmt(a.order.numerator, a.order.denominator)}"]
-    lines.extend(f"{_fmt(k, a.grading)} {_fmt(n, a.den)}" for k, n in zip(a.exps, a.nums))
-    return "\n".join(lines) + "\n"
+    """Serialize: header `D=<int> O=<num>/<den>`, then one `exp coef` line per term.
+
+    Every fraction is written in lowest terms from the integers.  As
+    gcd(k, D) = gcd(k mod D, D), the exponents take one gcd per residue mod D
+    that occurs, never a table of all D; over den = 1 the coefficients take
+    none.
+    """
+    d, den = a.grading, a.den
+    lines = [f"D={d} O={a.order.numerator}/{a.order.denominator}\n"]
+    reduced: dict[int, tuple[int, str]] = {}  # k mod D -> (gcd, "/<D // gcd> ")
+    for k, n in zip(a.exps, a.nums):
+        r = k % d
+        hit = reduced.get(r)
+        if hit is None:
+            g = gcd(r, d)
+            hit = reduced[r] = (g, f"/{d // g} ")
+        if den == 1:
+            lines.append(f"{k // hit[0]}{hit[1]}{n}/1\n")
+        else:
+            g = gcd(n, den)
+            lines.append(f"{k // hit[0]}{hit[1]}{n // g}/{den // g}\n")
+    return "".join(lines)
 
 
 def from_text(text: str) -> PuiseuxSeries:

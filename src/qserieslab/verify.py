@@ -461,8 +461,12 @@ def discover(series: Sequence[PuiseuxSeries], order: Rational) -> list[Relation]
     holds the coefficients of series j times their common denominator den_j,
     and rows are keyed by exponent numerators over the lcm of the gradings.
     A nullspace vector y of that matrix gives the relation x_j = y_j * den_j.
-    Series relate only within one class of exponents mod 1, so the matrix is
-    block-diagonal and _echelon() touches only the rows a pivot reaches.
+    The rows fall into the classes of their exponents mod 1, k mod the grid,
+    and a series has terms in few of them.  Each class is eliminated on its
+    own, over only the columns present in it; _echelon() then runs once more
+    on the pivot rows of every class, set in full width.  Those rows span the
+    row space of the whole matrix, so the pivot columns and the
+    back-substituted relations are those of eliminating it whole.
     An empty list means the sampled rows have full column rank.  Evidence is
     truncation-level only: a relation found at order O is not a proven
     identity.
@@ -478,18 +482,31 @@ def discover(series: Sequence[PuiseuxSeries], order: Rational) -> list[Relation]
             )
     cut = [truncate(s, o) for s in series]
     grid = lcm(*(s.grading for s in cut))
-    columns = [_times(s.exps, grid // s.grading) for s in cut]
-    keys = sorted(set().union(*columns))
-    if len(keys) < cols + 8:
+    entries: dict[int, list[tuple[int, int]]] = {}  # exponent -> (column, numerator)
+    for j, s in enumerate(cut):
+        for k, c in zip(_times(s.exps, grid // s.grading), s.nums):
+            entries.setdefault(k, []).append((j, c))
+    if len(entries) < cols + 8:
         raise InsufficientRowsError(
-            f"need at least {cols + 8} coefficient rows, have {len(keys)}"
+            f"need at least {cols + 8} coefficient rows, have {len(entries)}"
         )
-    row_of = {k: i for i, k in enumerate(keys)}
-    matrix = [[0] * cols for _ in keys]
-    for j, (exps, s) in enumerate(zip(columns, cut)):
-        for k, c in zip(exps, s.nums):
-            matrix[row_of[k]][j] = c
-    echelon, pivot_cols = _echelon(matrix, cols)
+    classes: dict[int, list[int]] = {}  # k mod grid -> its exponents
+    for k in sorted(entries):
+        classes.setdefault(k % grid, []).append(k)
+    stacked = []
+    for keys in classes.values():
+        present = sorted({j for k in keys for j, _ in entries[k]})
+        local = {j: i for i, j in enumerate(present)}
+        matrix = [[0] * len(present) for _ in keys]
+        for row, k in zip(matrix, keys):
+            for j, c in entries[k]:
+                row[local[j]] = c
+        for row in _echelon(matrix, len(present))[0]:
+            full = [0] * cols
+            for j, x in zip(present, row):
+                full[j] = x
+            stacked.append(full)
+    echelon, pivot_cols = _echelon(stacked, cols)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     relations = []
     for f in free_cols:
@@ -508,6 +525,9 @@ def discover(series: Sequence[PuiseuxSeries], order: Rational) -> list[Relation]
 
 def _echelon(matrix: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
     """Forward elimination on primitive integer rows; returns pivot rows and pivot columns.
+
+    discover() calls it on each exponent class's block and once more on the
+    blocks' pivot rows together.
 
     A row with a nonzero entry in the pivot column becomes lead*row -
     factor*pivot_row from that column on, divided by its gcd: a nonzero multiple
