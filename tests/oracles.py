@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 from qserieslab import BivariateSeries, PuiseuxSeries
 
@@ -24,6 +24,45 @@ def canonical_series(mapping: dict[Fraction, Fraction], order: Fraction) -> Puis
     for e, _ in items:
         grading = lcm(grading, e.denominator)
     return PuiseuxSeries(grading, order, tuple(items))
+
+
+def fmt_text(a: PuiseuxSeries) -> str:
+    """The text format with every fraction reduced by its own gcd: header
+    `D=<int> O=<num>/<den>`, then one `exp coef` line per term."""
+
+    def fmt(num: int, den: int) -> str:
+        g = gcd(num, den)
+        return f"{num // g}/{den // g}"
+
+    lines = [f"D={a.grading} O={fmt(a.order.numerator, a.order.denominator)}"]
+    lines.extend(f"{fmt(k, a.grading)} {fmt(n, a.den)}" for k, n in zip(a.exps, a.nums))
+    return "\n".join(lines) + "\n"
+
+
+def dense_invert(a: PuiseuxSeries) -> PuiseuxSeries:
+    """The inverse by the dense recurrence, certified to O_a - 2h: with
+    a = q^h * (u/den) * sum_k n_k q^(k*step), u = +-1 and n_0 > 0, the k-th
+    coefficient is u * den * J_k / n_0^(k+1), where J_0 = 1 and
+    J_k = -sum_(i>=1) w_i * J_(k-i) over the weights w_i = n_i * n_0^(i-1),
+    every w_i checked for every k."""
+    d, exps, nums = a.grading, a.exps, a.nums
+    u, n0 = (1 if nums[0] > 0 else -1), abs(nums[0])
+    order = a.order - 2 * Fraction(exps[0], d)
+    step = gcd(*(x - exps[0] for x in exps)) or 1  # 0 for a monomial
+    count = ceil((order * d + exps[0]) / step)
+    coeffs = [0] * ((exps[-1] - exps[0]) // step + 1)
+    for x, c in zip(exps, nums):
+        coeffs[(x - exps[0]) // step] = u * c
+    weights = [c * n0 ** (i - 1) if i else 0 for i, c in enumerate(coeffs[:count])]
+    inv = [1]
+    for n in range(1, count):
+        s = 0
+        for k in range(1, min(n, len(weights) - 1) + 1):
+            if weights[k]:
+                s += weights[k] * inv[n - k]
+        inv.append(-s)
+    terms = {Fraction(n * step - exps[0], d): Fraction(u * a.den * j, n0 ** (n + 1)) for n, j in enumerate(inv) if j}
+    return canonical_series(terms, order)
 
 
 def dict_combine(a, b, sign: int) -> PuiseuxSeries:

@@ -64,8 +64,10 @@ from oracles import (
     dict_mul,
     dict_specialize,
     dict_substitute,
+    dense_invert,
     excluded_minimum,
     family_product,
+    fmt_text,
     fraction_nullspace,
     partition_counts,
     pentagonal_sum,
@@ -150,6 +152,34 @@ def test_invert_round_trip(a):
     assume(not a.is_zero)
     product = mul(a, invert(a))
     assert product.terms == ((F(0), F(1)),)
+
+
+@st.composite
+def invertible_series(draw):
+    """A monomial, a sparse series of up to five far-apart terms or a dense
+    run of up to 17 terms on one step, on gradings 1 to 6, leading at a
+    drawn exponent in [-3, 3] with a drawn, mostly non-unit, coefficient."""
+    grading = draw(st.integers(1, 6))
+    lead = draw(st.integers(-3 * grading, 3 * grading))
+    shape = draw(st.sampled_from(["monomial", "sparse", "dense"]))
+    if shape == "monomial":
+        offsets = []
+    elif shape == "sparse":
+        offsets = sorted(draw(st.sets(st.integers(1, 12 * grading), min_size=1, max_size=4)))
+    else:
+        step = draw(st.integers(1, 3))
+        offsets = [step * i for i in range(1, draw(st.integers(1, 16)) + 1)]
+    coeffs = draw(st.lists(nonzero_fractions(), min_size=len(offsets) + 1, max_size=len(offsets) + 1))
+    order = F(lead, grading) + draw(st.integers(1, 12))
+    terms = [(F(lead + o, grading), c) for o, c in zip([0, *offsets], coeffs)]
+    return PuiseuxSeries(grading, order, tuple((e, c) for e, c in terms if e < order))
+
+
+@given(invertible_series())
+@example(expand_product(ProductSpec((ProductFactor(1, F(1), F(1), 1),)), F(60)))  # (q)_inf
+@example(PuiseuxSeries(3, F(5), ((F(-2, 3), F(-5, 2)),)))
+def test_invert_matches_dense_recurrence(a):
+    assert invert(a) == dense_invert(a)
 
 
 @given(small_series(), small_series(), ratios)
@@ -583,6 +613,35 @@ def test_text_round_trip(a):
     assert from_text(to_text(a)) == a
 
 
+@st.composite
+def formatted_series(draw):
+    """Up to six terms on a grading up to 10^7, often one with many divisors,
+    at exponents that are either drawn fractions p/q of small q or raw
+    numerators over the grading, negative ones included, below a drawn
+    order; the coefficients are integers or over a drawn den > 1."""
+    grading = draw(
+        st.one_of(st.integers(1, 12), st.integers(1, 10**7), st.sampled_from([2**23, 9699690, 10**7, 30000057]))
+    )
+    ks = set()
+    for _ in range(draw(st.integers(0, 6))):
+        q = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 10, 12]))
+        if grading % q == 0 and draw(st.booleans()):
+            ks.add(draw(st.integers(-3 * q, 3 * q)) * (grading // q))
+        else:
+            ks.add(draw(st.integers(-3 * grading, 3 * grading)))
+    dens = st.just(1) if draw(st.booleans()) else st.sampled_from([2, 3, 4, 6, 35])
+    coeffs = draw(st.lists(st.builds(F, st.integers(-60, 60).filter(bool), dens), min_size=len(ks), max_size=len(ks)))
+    order = 3 + F(draw(st.integers(-3, 4)), draw(st.integers(1, 3)))
+    terms = sorted((F(k, grading), c) for k, c in zip(ks, coeffs))
+    return PuiseuxSeries(grading, order, tuple((e, c) for e, c in terms if e < order))
+
+
+@given(formatted_series())
+@example(PuiseuxSeries(30000057, 1, ((F(1, 10000019), F(3)), (F(1, 3), F(1, 2)))))
+def test_text_matches_termwise_format(a):
+    assert to_text(a) == fmt_text(a)
+
+
 @given(st.integers(1, 200))
 def test_pentagonal_number_equivalence(order):
     assert {int(e): int(c) for e, c in euler_phi(F(order)).terms} == pentagonal_sum(order)
@@ -708,6 +767,63 @@ def test_discover_matches_fraction_oracle(case):
     assert len(pivots) == len(columns) - len(relations)
     for row, p in zip(echelon, pivots):
         assert row[p] != 0 and not any(row[:p])
+
+
+@st.composite
+def classed_columns(draw):
+    """Columns on grading 12 laid out by classes of exponents mod 1: each
+    base column has terms in its own drawn classes, the first in at least
+    two; one more column may sit alone in a class no base uses; copies,
+    multiples and sums of the bases then relate columns across every class
+    they span.  Sampled at or just below their order."""
+    order = draw(st.integers(4, 8))
+    rows = st.lists(st.integers(-1, order - 1), min_size=3, max_size=order + 1, unique=True)
+    used: set[int] = set()
+    columns = []
+    for i in range(draw(st.integers(1, 3))):
+        classes = draw(st.lists(st.integers(0, 11), min_size=2 if i == 0 else 1, max_size=3, unique=True))
+        used.update(classes)
+        ks = [12 * m + r for r in classes for m in draw(rows)]
+        columns.append(PuiseuxSeries(12, order, tuple((F(k, 12), draw(column_coefficients)) for k in sorted(ks))))
+    bases = list(columns)
+    free = sorted(set(range(12)) - used)
+    if free and draw(st.booleans()):
+        r = draw(st.sampled_from(free))
+        ks = [12 * m + r for m in sorted(draw(rows))]
+        columns.append(PuiseuxSeries(12, order, tuple((F(k, 12), draw(column_coefficients)) for k in ks)))
+    for kind in draw(st.lists(st.sampled_from(["copy", "scaled", "sum"]), max_size=3)):
+        base = draw(st.sampled_from(bases))
+        if kind == "copy":
+            columns.append(base)
+        elif kind == "scaled":
+            columns.append(scale(base, draw(nonzero_fractions())))
+        else:
+            other = draw(st.sampled_from(bases))
+            columns.append(add(scale(base, draw(nonzero_fractions())), scale(other, draw(nonzero_fractions()))))
+    return draw(st.permutations(columns)), order - draw(st.sampled_from([0, F(1, 2), 1]))
+
+
+_SPLIT = (
+    # the first column spans two classes and is the sum of the next two, each
+    # in one of them; the last sits alone in a third class
+    PuiseuxSeries(12, 6, tuple((F(12 * m + r, 12), F(1)) for m in range(6) for r in (0, 1))),
+    PuiseuxSeries(12, 6, tuple((F(m), F(1)) for m in range(6))),
+    PuiseuxSeries(12, 6, tuple((F(12 * m + 1, 12), F(1)) for m in range(6))),
+    PuiseuxSeries(12, 6, tuple((F(12 * m + 5, 12), F(m + 1)) for m in range(6))),
+)
+
+
+@given(classed_columns())
+@example((_SPLIT, F(6)))
+@example((_SPLIT[1:] + _SPLIT[:1], F(11, 2)))
+def test_discover_by_class_matches_fraction_oracle(case):
+    columns, order = case
+    if len({e for s in columns for e, _ in s.terms if e < order}) < len(columns) + 8:
+        with pytest.raises(InsufficientRowsError):
+            discover(columns, order)
+        return
+    relations = [rel.coefficients for rel in discover(columns, order)]
+    assert relations == fraction_nullspace([s.terms for s in columns], order)
 
 
 @st.composite
