@@ -16,20 +16,14 @@ from .bivariate import (
     specialize,
 )
 from .characters import (
-    A22Module,
     CharLabel,
     InvalidLabelError,
     UnknownNameError,
-    WModule,
-    a22_char,
     central_charge,
     conformal_weight,
     lowest_weight_from_char,
     minimal_char,
     named_series,
-    rr_product,
-    twisted_trace,
-    w_char,
 )
 from .lattice import (
     ALPHA1,

@@ -1,48 +1,29 @@
-"""Irreducible highest-weight characters and their twisted graded traces.
+"""Irreducible highest-weight characters of the (s,t) minimal series.
 
-Covers the alternating-sum character of the (s,t) minimal series, the two
-Rogers-Ramanujan product forms, the three twisted affine characters built on
-the sixth-root grading, the W-module characters at central charge 4/5, and
-the signed trace combinations used for the modular-invariance basis.
+Covers the alternating-sum character, its central charge and conformal
+weights, and named_series(), which expands any character by its name.  The
+names other than chi:s,t,m,n and fkw (the Rogers-Ramanujan products, the
+twisted A2(2) characters and the W-module characters) are definitions in the
+registry grammar, the prelude in verify.py.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 
 from . import lattice
 from .products import ProductFactor, ProductSpec, expand_product
-from .series import (
-    PuiseuxSeries,
-    Rational,
-    _combine,
-    _frac,
-    _highest_order_memo,
-    _shift,
-    mul,
-    substitute,
-    substitute_signed,
-    truncate,
-    zero,
-)
+from .series import PuiseuxSeries, Rational, _frac, _highest_order_memo, _shift, mul, truncate
 
 __all__ = [
     "CharLabel",
-    "WModule",
-    "A22Module",
     "InvalidLabelError",
     "UnknownNameError",
     "central_charge",
     "conformal_weight",
     "minimal_char",
-    "rr_product",
-    "a22_char",
-    "w_char",
-    "twisted_trace",
     "lowest_weight_from_char",
     "named_series",
 ]
@@ -74,23 +55,6 @@ class CharLabel:
             raise InvalidLabelError(f"need 1 <= m < s, got m={self.m}, s={self.s}")
         if not 1 <= self.n < self.t:
             raise InvalidLabelError(f"need 1 <= n < t, got n={self.n}, t={self.t}")
-
-
-class WModule(Enum):
-    W0 = "0"
-    W2_5 = "2/5"
-    W2_5_PLUS = "2/5+"
-    W2_5_MINUS = "2/5-"
-    W1_15_PLUS = "1/15+"
-    W1_15_MINUS = "1/15-"
-    WTAU_1_40 = "tau1/40"
-    WTAU_1_8 = "tau1/8"
-
-
-class A22Module(Enum):
-    BASIC_LAMBDA1 = "basic"
-    TWO_LAMBDA1 = "2L1"
-    LAMBDA0 = "L0"
 
 
 def central_charge(s: int, t: int) -> Fraction:
@@ -135,168 +99,24 @@ def _minimal_char(s: int, t: int, m: int, n: int, order: Fraction) -> PuiseuxSer
     return _shift(mul(lattice.theta_sum(spec, oshift), expand_product(_RECIPROCAL_PHI, oshift)), prefactor)
 
 
-_RR_SPECS = {
-    1: ProductSpec(
-        (
-            ProductFactor(1, Fraction(2), Fraction(5), -1),
-            ProductFactor(1, Fraction(3), Fraction(5), -1),
-        ),
-        Fraction(11, 60),
-    ),
-    2: ProductSpec(
-        (
-            ProductFactor(1, Fraction(1), Fraction(5), -1),
-            ProductFactor(1, Fraction(4), Fraction(5), -1),
-        ),
-        Fraction(-1, 60),
-    ),
-}
-
-
-def rr_product(variant: int, order: Rational) -> PuiseuxSeries:
-    """Rogers-Ramanujan products: variant 1 over residues {2,3} mod 5 with
-    prefactor q^(11/60), variant 2 over {1,4} mod 5 with q^(-1/60)."""
-    if variant not in _RR_SPECS:
-        raise ValueError(f"variant must be 1 or 2, got {variant}")
-    return expand_product(_RR_SPECS[variant], order)
-
-
-_A22_BASIC = ProductSpec(
-    (
-        ProductFactor(1, Fraction(1, 6), Fraction(1), -1),
-        ProductFactor(1, Fraction(5, 6), Fraction(1), -1),
-    ),
-    Fraction(-1, 72),
-)
-
-
-@_highest_order_memo
-def a22_char(module: A22Module, order: Rational) -> PuiseuxSeries:
-    """Twisted characters on the sixth-root grading.
-
-    The basic level-one module is a pure product with prefactor q^(-1/72); the
-    two level-two modules carry an extra (2,5) character at q^(1/3), and the
-    Lambda_0 module an additional q^(1/6).
-    """
-    o = _frac(order)
-    # asked for max(o, 0) + 1, both factors lead just below 0: the product
-    # reaches o; every module reads the basic product at this one cushion
-    cushion = max(o, 0) + 1
-    basic = expand_product(_A22_BASIC, cushion)
-    if module is A22Module.BASIC_LAMBDA1:
-        return truncate(basic, o)
-    if module is A22Module.TWO_LAMBDA1:
-        factor = substitute(_minimal_char(2, 5, 1, 2, 3 * cushion), Fraction(1, 3))
-        return truncate(mul(basic, factor), o)
-    if module is A22Module.LAMBDA0:
-        factor = substitute(_minimal_char(2, 5, 1, 1, 3 * cushion), Fraction(1, 3))
-        return truncate(_shift(mul(basic, factor), Fraction(1, 6)), o)
-    raise ValueError(f"unknown module {module!r}")
-
-
-_W_DECOMP: dict[WModule, tuple[tuple[int, int, int], ...]] = {
-    # (sign, m, n) combinations of chi_{5,6}^{m,n}
-    WModule.W0: ((1, 1, 1), (1, 1, 5)),
-    WModule.W2_5: ((1, 2, 1), (1, 2, 5)),
-    WModule.W2_5_PLUS: ((1, 1, 3),),
-    WModule.W2_5_MINUS: ((1, 1, 3),),
-    WModule.W1_15_PLUS: ((1, 2, 3),),
-    WModule.W1_15_MINUS: ((1, 2, 3),),
-    WModule.WTAU_1_40: ((1, 2, 2), (1, 2, 4)),
-    WModule.WTAU_1_8: ((1, 1, 2), (1, 1, 4)),
-}
-
-
-def w_char(module: WModule, order: Rational) -> PuiseuxSeries:
-    """W-module characters as sums of (5,6) minimal characters.
-
-    The plus/minus pairs at h = 2/3 and h = 1/15 share one character; the
-    distinction is representation-theoretic, not visible at series level.
-    """
-    return _signed_combo(_W_DECOMP[module], _frac(order))
-
-
-_TWISTED: dict[WModule, tuple[tuple[int, int], tuple[int, int]]] = {
-    # label -> (first (m,n), second (m,n)); second enters with sign (-1)^epsilon
-    WModule.WTAU_1_40: ((2, 2), (2, 4)),
-    WModule.WTAU_1_8: ((1, 2), (1, 4)),
-}
-
-_UNTWISTED_TRACE: dict[WModule, tuple[tuple[int, int, int], ...]] = {
-    WModule.W0: ((1, 2, 1), (-1, 2, 5)),
-    WModule.W2_5: ((1, 1, 1), (-1, 1, 5)),
-}
-
-
-def twisted_trace(module: WModule, epsilon: int, order: Rational) -> PuiseuxSeries:
-    """Graded traces weighted by the order-two automorphism.
-
-    For the two twisted modules the trace is chi^(m,n) +- chi^(m,n') with the
-    sign (-1)^epsilon; for W0 and W2/5 only the untwisted-sector trace exists
-    and epsilon is ignored.
-    """
-    o = _frac(order)
-    if module in _TWISTED:
-        if epsilon not in (0, 1):
-            raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
-        (m1, n1), (m2, n2) = _TWISTED[module]
-        sign = 1 if epsilon == 0 else -1
-        return _signed_combo(((1, m1, n1), (sign, m2, n2)), o)
-    if module in _UNTWISTED_TRACE:
-        return _signed_combo(_UNTWISTED_TRACE[module], o)
-    raise ValueError(f"module {module.value!r} has no defined twisted trace")
-
-
-def _signed_combo(parts: tuple[tuple[int, int, int], ...], order: Fraction) -> PuiseuxSeries:
-    return _combine([(zero(order), 1)] + [(_minimal_char(5, 6, m, n, order), sign) for sign, m, n in parts])
-
-
 def lowest_weight_from_char(f: PuiseuxSeries, c: Rational) -> Fraction:
     """Recover the lowest conformal weight: leading exponent plus c/24."""
     return f.leading_exponent + _frac(c) / 24
 
 
-_NAME_RE = re.compile(
-    r"(?P<base>chi:\d+,\d+,\d+,\d+|rr:[12]|a22:(?:basic|2L1|L0)"
-    r"|w:(?:tau1/40|tau1/8|2/5|0)|fkw)"
-    r"(?:@(?P<signed>-?)q\^(?P<power>0*[1-9]\d*(?:/0*[1-9]\d*)?))?"
-)
-
-
 def named_series(name: str, order: Rational) -> PuiseuxSeries:
-    """Expand a character by its CLI name.
+    """Expand a character by its CLI name, cut at the order.
 
-    Accepted: chi:s,t,m,n, rr:1, rr:2, a22:basic|2L1|L0, w:0|2/5|tau1/40|tau1/8
-    and fkw, each optionally rescaled with a suffix @q^r (substitute) or @-q^r
-    (signed substitute), r a positive integer or p/q.
+    Accepted: chi:s,t,m,n, fkw and every name of the prelude (rr:1, rr:2,
+    a22:basic|2L1|L0, w:0|2/5|tau1/40|tau1/8), each optionally rescaled with
+    a suffix @q^r (substitute) or @-q^r (signed substitute), r a positive
+    integer or p/q.  Any other text, or a chi label outside its ranges,
+    raises UnknownNameError.
     """
-    o = _frac(order)
-    m = _NAME_RE.fullmatch(name.strip())
-    if m is None:
+    from .verify import evaluate, parse_name  # verify imports this module
+
+    expr = parse_name(name.strip())
+    if expr is None:
         raise UnknownNameError(f"unrecognized character name: {name!r}")
-    ratio = Fraction(m.group("power")) if m.group("power") else None
-    base_order = o if ratio is None else o / ratio
-    base = _base_series(m.group("base"), base_order)
-    if ratio is None:
-        return base
-    if m.group("signed"):
-        return substitute_signed(base, ratio)
-    return substitute(base, ratio)
-
-
-def _base_series(base: str, order: Fraction) -> PuiseuxSeries:
-    kind, _, rest = base.partition(":")
-    if kind == "chi":
-        s, t, m, n = (int(x) for x in rest.split(","))
-        try:
-            label = CharLabel(s, t, m, n)
-        except InvalidLabelError as exc:
-            raise UnknownNameError(str(exc)) from exc
-        return minimal_char(label, order)
-    if kind == "rr":
-        return rr_product(int(rest), order)
-    if kind == "a22":
-        return a22_char(A22Module(rest), order)
-    if kind == "w":
-        return w_char(WModule(rest), order)
-    return lattice.fkw_character(order)
+    value = evaluate(expr, order)
+    return truncate(value, order) if value.order > order else value

@@ -379,8 +379,9 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     so two empty operands certify O_a + O_b when both orders are negative.
 
     The operands pick the kernel.  Terms that cannot reach below the result
-    order are pruned first; laid out densely on their common exponent stride
-    g, the operands of na <= nb terms fill la + lb digits, and w is the bit
+    order are pruned first; a one-term operand then shifts and scales the
+    other.  Otherwise, laid out densely on their common exponent stride g,
+    the operands of na <= nb terms fill la + lb digits, and w is the bit
     length of the larger operand's largest coefficient numerator.
       pairs:   na * nb <= la + lb; each pair product is summed.
       shifted: the na numerators are all +-1 and na * lb <= (la + lb) * w;
@@ -404,6 +405,8 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     ea, ca, eb, cb = ea[:na], a.nums[:na], eb[:nb], b.nums[:nb]
     if nb < na:  # a is the operand with fewer terms
         ea, ca, eb, cb, na, nb = eb, cb, ea, ca, nb, na
+    if na == 1:  # b shifted and scaled
+        return _from_grid(grid, [ea[0] + e for e in eb], _times(cb, ca[0]), a.den * b.den, order)
     g = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1  # 0 for two monomials
     la, lb = (ea[-1] - ea[0]) // g + 1, (eb[-1] - eb[0]) // g + 1
     if na * nb <= la + lb:

@@ -20,12 +20,12 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import ceil, gcd, lcm, prod
 from typing import Optional, Sequence, Union
 
 from . import bivariate as bv
-from .characters import _NAME_RE, named_series
-from .lattice import ThetaBranch, ThetaSumSpec, theta_sum
+from .characters import CharLabel, InvalidLabelError, UnknownNameError, minimal_char
+from .lattice import ThetaBranch, ThetaSumSpec, fkw_character, theta_sum
 from .products import ProductFactor, ProductSpec, expand_product
 from .series import (
     EmptySeriesError,
@@ -74,6 +74,7 @@ __all__ = [
     "check_record",
     "discover",
     "parse_expression",
+    "parse_name",
     "parse_registry_text",
     "load_registry",
 ]
@@ -180,17 +181,28 @@ Value = Union[PuiseuxSeries, bv.BivariateSeries]
 def evaluate(expr: Expr, order: Rational) -> Value:
     """Evaluate an expression tree, certified to at least `order`.
 
-    Every node asks its children for the range it will lose.  A sum asks
-    each term for o and adds them in one n-way combine.  A product probes
-    each factor once for l_i = _negative_lead(factor i) <= 0, asks factor i
-    for max(o - sum of l_j over j != i, 0) and multiplies left to right.
-    Each value leads at or above l_i (an empty one, certified to at least 0,
-    is bounded by 0).  By induction on k, through mul's bound
+    Every node asks its children for the range it will lose.  A name asks
+    its prelude definition for o; chi:s,t,m,n and fkw compute o directly.  A
+    sum asks each distinct term for o once and adds them, each times the sum
+    of its signs, in one n-way combine.
+
+    A product first opens, in place, its nested products and the names the
+    prelude defines as products, and folds all its monomials into one factor
+    placed last.  It probes each factor of that flat list once for its exact
+    lead l_i = min(lead(factor i), 0), asks factor i for
+    max(o + ceil(-(sum of l_j over j != i)), 0) and multiplies left to
+    right.  Each value leads at or above l_i (an empty one, certified to at
+    least 0, is bounded by 0) and is certified to at least
+    o - (sum of l_j over j != i).  By induction on k, through mul's bound
     min(O_a + lead(b), O_b + lead(a)), the product P_k of the first k
     factors leads at or above L_k = l_1 + ... + l_k and is certified to at
     least o - (l_(k+1) + ... + l_n) and to L_k, which bounds the lead of an
-    empty P_k; so P_n reaches o.  When a probe raised, the product asks once
-    more with the leads the factors showed.
+    empty P_k; so P_n reaches o.  Requests stay on the lattice o + k that
+    the memos share, and the flat list asks every factor the same whatever
+    the nesting: a product that recurs, as the basic A2(2) product does in
+    DECOMP-1.4, is asked for one order, and two equal factors meet in mul
+    as equal operands.  When a probe raised, the product asks once more
+    with the leads the factors showed.
 
     An inversion asks for max(o, 1), to see a lead h below 1
     (EmptySeriesError if it shows no term), then for o + 2h.  A
@@ -204,19 +216,25 @@ def evaluate(expr: Expr, order: Rational) -> Value:
     """
     o = _frac(order)
     if isinstance(expr, Name):
-        return named_series(expr.name, o)
+        definition = _PRELUDE.get(expr.name)
+        if definition is not None:
+            return evaluate(definition, o)
+        return fkw_character(o) if expr.name == "fkw" else minimal_char(_label(expr.name), o)
     if isinstance(expr, Sum):
-        parts = [(evaluate(term, o), sign) for sign, term in expr.terms]
+        counts: dict[Expr, int] = {}
+        for sign, term in expr.terms:
+            counts[term] = counts.get(term, 0) + sign
+        parts = [(evaluate(term, o), count) for term, count in counts.items()]
         kinds = {type(value) for value, _ in parts}
         if len(kinds) > 1:
             raise EvaluationError("cannot mix one- and two-variable series in a sum")
         return _combine(parts) if PuiseuxSeries in kinds else bv._combine(parts)
     if isinstance(expr, Product):
-        leads = [_negative_lead(factor) for factor in expr.factors]
-        values = _factor_values(expr.factors, leads, o)
+        factors = _flat_factors(expr.factors)
+        values = _factor_values(factors, [_negative_lead(factor) for factor in factors], o)
         product = reduce(mul, values)
         if product.order < o:  # a probe raised; the factors now show their leads
-            product = reduce(mul, _factor_values(expr.factors, [_unit_lead(v) for v in values], o))
+            product = reduce(mul, _factor_values(factors, [_lead(v) for v in values], o))
         return product
     if isinstance(expr, Inv):
         request = max(o, 1)
@@ -261,10 +279,41 @@ def evaluate(expr: Expr, order: Rational) -> Value:
     raise EvaluationError(f"unknown expression node {expr!r}")
 
 
-def _factor_values(factors: Sequence[Expr], leads: Sequence[int], o: Fraction) -> list[PuiseuxSeries]:
-    """Each factor evaluated to max(o - the other factors' leads, 0)."""
+def _label(name: str) -> CharLabel:
+    """The label of a name chi:s,t,m,n, which the grammar reads with any four
+    numbers; UnknownNameError when they are out of range."""
+    try:
+        return CharLabel(*(int(x) for x in name[4:].split(",")))
+    except InvalidLabelError as exc:
+        raise UnknownNameError(str(exc)) from exc
+
+
+def _flat_factors(factors: Sequence[Expr]) -> list[Expr]:
+    """The factors of a product with its nested products, and the names the
+    prelude defines as products, opened in place, left to right, and its
+    monomials folded into one factor placed last."""
+    flat: list[Expr] = []
+    monos: list[Mono] = []
+    stack = list(reversed(factors))
+    while stack:
+        factor = stack.pop()
+        if isinstance(factor, Name):
+            factor = _PRELUDE.get(factor.name, factor)
+        if isinstance(factor, Product):
+            stack.extend(reversed(factor.factors))
+        elif isinstance(factor, Mono):
+            monos.append(factor)
+        else:
+            flat.append(factor)
+    if monos:
+        flat.append(Mono(prod(m.coefficient for m in monos), sum(m.exponent for m in monos)))
+    return flat
+
+
+def _factor_values(factors: Sequence[Expr], leads: Sequence[Fraction], o: Fraction) -> list[PuiseuxSeries]:
+    """Each factor evaluated to max(o + ceil(-(the other factors' leads)), 0)."""
     total = sum(leads)
-    values = [evaluate(factor, max(o - (total - lead), 0)) for factor, lead in zip(factors, leads)]
+    values = [evaluate(factor, max(o + ceil(lead - total), 0)) for factor, lead in zip(factors, leads)]
     if not all(isinstance(value, PuiseuxSeries) for value in values):
         raise EvaluationError("products of two-variable series are not supported")
     return values
@@ -281,25 +330,25 @@ def _widened(expr: Expr, zmin: int, zmax: int) -> Expr:
 
 
 @lru_cache(maxsize=1024)
-def _negative_lead(expr: Expr) -> int:
-    """floor(lead(expr)) when that is negative, else 0, from a probe at order 0.
+def _negative_lead(expr: Expr) -> Fraction:
+    """min(lead(expr), 0), exact, from a probe at order 0.
 
     The probe is certified to at least 0, so it holds every negative
-    exponent.  Whole units keep sibling requests on one lattice o + k, so
-    they share the highest-order memos.  A probe that raises gives 0; the
-    product then asks again, or the full evaluation raises the real error.
-    Each subtree is probed once: a probe of a product probes its factors
-    again, so unmemoised products nested n deep cost about 2^n evaluations.
+    exponent.  A probe that raises gives 0; the product then asks again, or
+    the full evaluation raises the real error.  Products are flat, so no
+    factor probed is itself a product; one under a factor's sum or inversion
+    probes its own factors, and this cache probes each subtree once.
     """
     try:
-        return _unit_lead(evaluate(expr, 0))
+        return _lead(evaluate(expr, 0))
     except SeriesError:
-        return 0
+        return Fraction(0)
 
 
-def _unit_lead(value: Value) -> int:
-    """floor of a one-variable value's leading exponent when negative, else 0."""
-    return min(0, value.exps[0] // value.grading) if isinstance(value, PuiseuxSeries) and value.exps else 0
+def _lead(value: Value) -> Fraction:
+    """A one-variable value's leading exponent when negative, else 0."""
+    one_variable = isinstance(value, PuiseuxSeries) and value.exps
+    return min(Fraction(0), value.leading_exponent) if one_variable else Fraction(0)
 
 
 # --------------------------------------------------------------------------
@@ -560,6 +609,25 @@ def _echelon(matrix: list[list[int]], cols: int) -> tuple[list[list[int]], list[
 # Registry text format
 # --------------------------------------------------------------------------
 
+# Every name but chi:s,t,m,n and fkw, defined in this grammar; evaluate()
+# resolves a Name through these definitions.
+_PRELUDE_TEXT = """
+rr:1      = mono(1,11/60) * prod(1,2,5,-1, 1,3,5,-1)
+rr:2      = mono(1,-1/60) * prod(1,1,5,-1, 1,4,5,-1)
+a22:basic = mono(1,-1/72) * prod(1,1/6,1,-1, 1,5/6,1,-1)
+a22:2L1   = a22:basic * chi:2,5,1,2@q^1/3
+a22:L0    = mono(1,1/6) * a22:basic * chi:2,5,1,1@q^1/3
+w:0       = chi:5,6,1,1 + chi:5,6,1,5
+w:2/5     = chi:5,6,2,1 + chi:5,6,2,5
+w:tau1/40 = chi:5,6,2,2 + chi:5,6,2,4
+w:tau1/8  = chi:5,6,1,2 + chi:5,6,1,4
+"""
+_DEFINITIONS = [[part.strip() for part in line.split("=")] for line in _PRELUDE_TEXT.strip().splitlines()]
+# A name, then an optional suffix @q^r or @-q^r, r a positive integer or p/q.
+_NAME_RE = re.compile(
+    rf"(?P<base>chi:\d+,\d+,\d+,\d+|fkw|{'|'.join(re.escape(name) for name, _ in _DEFINITIONS)})"
+    r"(?:@(?P<signed>-?)q\^(?P<power>0*[1-9]\d*(?:/0*[1-9]\d*)?))?"
+)
 _NUMBER = r"-?\d+(?:/\d+)?"
 # form: (usage, leading expressions, numbers, numbers per repeated group)
 _FORMS = {
@@ -677,7 +745,7 @@ class _ExprParser:
         self.pos += 1
         kind, value = tok
         if kind == "name":
-            return Name(value)
+            return parse_name(value)
         if kind == "func":
             return self._call(value)
         if tok == ("punct", "("):
@@ -707,6 +775,18 @@ class _ExprParser:
         if kinds != [True] * children + [False] * len(numbers) or count < 0 or (count % group if group else count):
             raise ValueError(f"expected {usage}, got {len(args)} arguments to {form}")
         return _build(form, args[0] if children else None, numbers)
+
+
+def parse_name(text: str) -> Optional[Expr]:
+    """The node of one name: Name, or with a suffix @q^r (@-q^r) Subst
+    (SubstSigned) of the base Name by r; None for any other text."""
+    m = _NAME_RE.fullmatch(text)
+    if m is None:
+        return None
+    base = Name(m.group("base"))
+    if m.group("power") is None:
+        return base
+    return (SubstSigned if m.group("signed") else Subst)(base, Fraction(m.group("power")))
 
 
 def parse_expression(text: str) -> Expr:
@@ -742,6 +822,9 @@ def parse_registry_text(text: str) -> list[IdentityRecord]:
             raise ValueError(f"line {lineno}: {exc}") from None
         records.append(IdentityRecord(rec_id, lhs, rhs, order))
     return records
+
+
+_PRELUDE = {name: parse_expression(text) for name, text in _DEFINITIONS}
 
 
 def load_registry(path: str) -> tuple[IdentityRecord, ...]:

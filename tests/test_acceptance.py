@@ -10,9 +10,7 @@ from fractions import Fraction as F
 from hypothesis import settings
 
 from qserieslab import (
-    A22Module,
     CharLabel,
-    a22_char,
     check,
     compare,
     discover,
@@ -24,7 +22,6 @@ from qserieslab import (
     named_series,
     quintuple_lhs,
     registry,
-    rr_product,
     specialize,
     substitute,
 )
@@ -57,7 +54,7 @@ def test_criterion_1_rogers_ramanujan():
         (2, CharLabel(2, 5, 1, 2), F(-1, 60)),
     ):
         order = lead + 200
-        assert compare(minimal_char(label, order), rr_product(variant, order), order) is None
+        assert compare(minimal_char(label, order), named_series(f"rr:{variant}", order), order) is None
 
 
 @criterion(2, "the four mixed-charge character identities at order 100")
@@ -133,8 +130,8 @@ def test_criterion_7_discovery():
 
 @criterion(8, "lowest-weight cross-checks 5/72, 41/360, 1/40, 1/8")
 def test_criterion_8_lowest_weights():
-    assert lowest_weight_from_char(a22_char(A22Module.BASIC_LAMBDA1, F(2)), 2) == F(5, 72)
-    assert lowest_weight_from_char(a22_char(A22Module.TWO_LAMBDA1, F(2)), F(16, 5)) == F(41, 360)
+    assert lowest_weight_from_char(named_series("a22:basic", F(2)), 2) == F(5, 72)
+    assert lowest_weight_from_char(named_series("a22:2L1", F(2)), F(16, 5)) == F(41, 360)
     half1 = substitute(minimal_char(CharLabel(2, 5, 1, 2), F(4)), F(1, 2))
     assert lowest_weight_from_char(half1, F(4, 5)) == F(1, 40)
     half2 = substitute(minimal_char(CharLabel(2, 5, 1, 1), F(4)), F(1, 2))

@@ -3,27 +3,24 @@ from fractions import Fraction as F
 import pytest
 
 from qserieslab import (
-    A22Module,
     CharLabel,
     EmptySeriesError,
     InvalidLabelError,
     UnknownNameError,
-    WModule,
-    a22_char,
     central_charge,
     compare,
     conformal_weight,
     lowest_weight_from_char,
     minimal_char,
     named_series,
-    rr_product,
+    parse_expression,
     sub,
     substitute,
     substitute_signed,
-    twisted_trace,
-    w_char,
+    truncate,
     zero,
 )
+from qserieslab.verify import evaluate
 from oracles import minimal_char_offsets, residue_parts
 
 
@@ -81,7 +78,7 @@ class TestMinimalChar:
         for variant, label in ((1, CharLabel(2, 5, 1, 1)), (2, CharLabel(2, 5, 1, 2))):
             lead = F(11, 60) if variant == 1 else F(-1, 60)
             order = lead + 60
-            assert compare(minimal_char(label, order), rr_product(variant, order), order) is None
+            assert compare(minimal_char(label, order), named_series(f"rr:{variant}", order), order) is None
 
     def test_nonnegative_integer_coefficients(self):
         for label in (CharLabel(5, 6, 2, 3), CharLabel(3, 4, 1, 2), CharLabel(2, 7, 1, 3)):
@@ -92,96 +89,93 @@ class TestMinimalChar:
         assert minimal_char(CharLabel(5, 6, 1, 5), F(1)).is_zero
 
 
+def _expression(text, order):
+    return evaluate(parse_expression(text), order)
+
+
 class TestRRProduct:
     def test_variant_one_coefficients(self):
-        out = rr_product(1, F(11, 60) + 8)
+        out = named_series("rr:1", F(11, 60) + 8)
         assert [out.coefficient(F(11, 60) + k) for k in range(8)] == residue_parts(5, (2, 3), 7)
 
     def test_variant_two_coefficients(self):
-        out = rr_product(2, F(-1, 60) + 6)
+        out = named_series("rr:2", F(-1, 60) + 6)
         expected = residue_parts(5, (1, 4), 5)
         assert [out.coefficient(F(-1, 60) + k) for k in range(6)] == expected
         assert expected == [1, 1, 1, 1, 2, 2]
 
     def test_variant_two_leading_exponent(self):
-        assert rr_product(2, F(5)).leading_exponent == F(-1, 60)
+        assert named_series("rr:2", F(5)).leading_exponent == F(-1, 60)
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            rr_product(3, F(5))
+        # the grammar knows rr:1 and rr:2 only: rr:3 fails to parse
+        with pytest.raises(ValueError, match="unexpected character"):
+            parse_expression("rr:3")
 
 
 class TestA22Char:
     def test_basic_leading_exponent(self):
-        assert a22_char(A22Module.BASIC_LAMBDA1, F(6)).leading_exponent == F(-1, 72)
+        assert named_series("a22:basic", F(6)).leading_exponent == F(-1, 72)
 
     def test_two_lambda1_leading_exponent(self):
-        assert a22_char(A22Module.TWO_LAMBDA1, F(6)).leading_exponent == F(-7, 360)
+        assert named_series("a22:2L1", F(6)).leading_exponent == F(-7, 360)
 
     def test_lambda0_leading_exponent(self):
-        assert a22_char(A22Module.LAMBDA0, F(6)).leading_exponent == F(77, 360)
+        assert named_series("a22:L0", F(6)).leading_exponent == F(77, 360)
 
     def test_basic_counts_residue_parts_of_sixths(self):
-        s = a22_char(A22Module.BASIC_LAMBDA1, F(-1, 72) + F(10, 6))
+        s = named_series("a22:basic", F(-1, 72) + F(10, 6))
         counts = residue_parts(6, (1, 5), 9)
         assert [s.coefficient(F(-1, 72) + F(k, 6)) for k in range(10)] == counts
 
     def test_grading_divides_360(self):
-        for module in A22Module:
-            assert 360 % a22_char(module, F(8)).grading == 0
+        for module in ("basic", "2L1", "L0"):
+            assert 360 % named_series(f"a22:{module}", F(8)).grading == 0
 
 
 class TestWChar:
     def test_tau_modules_are_rescaled_25_characters(self):
-        w40 = w_char(WModule.WTAU_1_40, F(50))
+        w40 = named_series("w:tau1/40", F(50))
         assert compare(w40, substitute(minimal_char(CharLabel(2, 5, 1, 2), F(100)), F(1, 2)), 50) is None
-        w8 = w_char(WModule.WTAU_1_8, F(50))
+        w8 = named_series("w:tau1/8", F(50))
         assert compare(w8, substitute(minimal_char(CharLabel(2, 5, 1, 1), F(100)), F(1, 2)), 50) is None
 
     def test_vacuum_leading_term(self):
-        s = w_char(WModule.W0, F(5))
+        s = named_series("w:0", F(5))
         assert s.terms[0] == (F(-1, 30), F(1))
 
-    def test_plus_minus_pairs_coincide(self):
-        assert w_char(WModule.W2_5_PLUS, F(20)) == w_char(WModule.W2_5_MINUS, F(20))
-        assert w_char(WModule.W1_15_PLUS, F(20)) == w_char(WModule.W1_15_MINUS, F(20))
-
     def test_pair_decompositions(self):
-        lhs = w_char(WModule.W2_5, F(20))
+        lhs = named_series("w:2/5", F(20))
         rhs = minimal_char(CharLabel(5, 6, 2, 1), F(20)) + minimal_char(CharLabel(5, 6, 2, 5), F(20))
         assert lhs == rhs
 
 
 class TestTwistedTrace:
+    """The graded traces under the order-two automorphism, as (5,6) sums and
+    differences: the second character of a twisted pair enters with sign
+    (-1)^epsilon; W0 and W2/5 have only an untwisted-sector trace."""
+
     def test_epsilon_zero_matches_sqrt_rescale(self):
-        lhs = twisted_trace(WModule.WTAU_1_8, 0, F(30))
+        lhs = _expression("chi:5,6,1,2 + chi:5,6,1,4", F(30))
         rhs = substitute(minimal_char(CharLabel(2, 5, 1, 1), F(60)), F(1, 2))
         assert compare(lhs, rhs, 30) is None
 
     def test_untwisted_sector_matches_square_rescale(self):
-        lhs = twisted_trace(WModule.W2_5, 0, F(30))
+        lhs = _expression("chi:5,6,1,1 - chi:5,6,1,5", F(30))
         rhs = substitute(minimal_char(CharLabel(2, 5, 1, 2), F(15)), F(2))
         assert compare(lhs, rhs, 30) is None
 
     def test_epsilon_one_matches_signed_substitution(self):
-        lhs = twisted_trace(WModule.WTAU_1_40, 1, F(30))
+        lhs = _expression("chi:5,6,2,2 - chi:5,6,2,4", F(30))
         rhs = substitute_signed(minimal_char(CharLabel(2, 5, 1, 2), F(60)), F(1, 2))
         assert compare(lhs, rhs, 30) is None
 
     def test_epsilon_flips_odd_offsets(self):
-        plus = twisted_trace(WModule.WTAU_1_40, 0, F(10))
-        minus = twisted_trace(WModule.WTAU_1_40, 1, F(10))
+        plus = named_series("w:tau1/40", F(10))
+        minus = _expression("chi:5,6,2,2 - chi:5,6,2,4", F(10))
         diff = sub(plus, minus)
         doubled = minimal_char(CharLabel(5, 6, 2, 4), F(10))
         assert dict(diff.terms) == {e: 2 * c for e, c in doubled.terms}
-
-    def test_undefined_trace_rejected(self):
-        with pytest.raises(ValueError):
-            twisted_trace(WModule.W2_5_PLUS, 0, F(10))
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            twisted_trace(WModule.WTAU_1_8, 2, F(10))
 
 
 class TestLowestWeight:
@@ -192,8 +186,8 @@ class TestLowestWeight:
         assert lowest_weight_from_char(half2, F(4, 5)) == F(1, 40)
 
     def test_twisted_weights(self):
-        assert lowest_weight_from_char(a22_char(A22Module.BASIC_LAMBDA1, F(2)), F(2)) == F(5, 72)
-        assert lowest_weight_from_char(a22_char(A22Module.TWO_LAMBDA1, F(2)), F(16, 5)) == F(41, 360)
+        assert lowest_weight_from_char(named_series("a22:basic", F(2)), F(2)) == F(5, 72)
+        assert lowest_weight_from_char(named_series("a22:2L1", F(2)), F(16, 5)) == F(41, 360)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySeriesError):
@@ -213,10 +207,18 @@ class TestNamedSeries:
         assert out == substitute_signed(minimal_char(CharLabel(2, 5, 1, 2), F(20)), F(1, 2))
 
     def test_families(self):
-        assert named_series("rr:1", F(3)) == rr_product(1, F(3))
-        assert named_series("a22:2L1", F(3)) == a22_char(A22Module.TWO_LAMBDA1, F(3))
-        assert named_series("w:tau1/8", F(3)) == w_char(WModule.WTAU_1_8, F(3))
+        # each prelude name is its definition, cut at the order
+        for name, text in (
+            ("rr:1", "mono(1,11/60) * prod(1,2,5,-1, 1,3,5,-1)"),
+            ("a22:2L1", "mono(1,-1/72) * prod(1,1/6,1,-1, 1,5/6,1,-1) * sub(chi:2,5,1,2, 1/3)"),
+            ("w:tau1/8", "chi:5,6,1,2 + chi:5,6,1,4"),
+        ):
+            assert named_series(name, F(3)) == truncate(_expression(text, F(3)), 3), name
         assert not named_series("fkw", F(3)).is_zero
+
+    def test_suffix_parses_to_substitution_of_the_base(self):
+        assert parse_expression("a22:L0@q^2/3") == parse_expression("sub(a22:L0, 2/3)")
+        assert parse_expression("rr:2@-q^1/2") == parse_expression("subsigned(rr:2, 1/2)")
 
     @pytest.mark.parametrize(
         "bad",
@@ -233,6 +235,9 @@ class TestNamedSeries:
             "rr:1@-q^0/3",
             "rr:1@q^1/0",
             "fkw@q^00",
+            "chi:2,4,1,1",
+            "rr:1 + rr:2",
+            "w:2/5+",
         ],
     )
     def test_unknown_names_rejected(self, bad):

@@ -120,10 +120,18 @@ class TestExpand:
         assert out.splitlines()[0] == "D=72 O=50/1"
 
     # a name or a sum certifies its request; a product of factors that lead
-    # below q^0, or an inverse, can certify more, and only then is a copy made
+    # below q^0, or an inverse, can certify more, and only then is a copy made.
+    # rr:1 * rr:2 flattens to two products and the monomial q^(1/6), none of
+    # them leading below q^0, so each is asked for 50 and the product is exact
     @pytest.mark.parametrize(
         "target, certified",
-        [("rr:1", None), ("rr:1 + rr:2", None), ("rr:1 * rr:2", F(3011, 60)), ("inv(a22:basic)", F(1801, 36))],
+        [
+            ("rr:1", None),
+            ("rr:1 + rr:2", None),
+            ("rr:1 * rr:2", None),
+            ("inv(a22:basic)", F(1801, 36)),
+            ("chi:2,5,1,1 * chi:2,5,1,2", F(3011, 60)),
+        ],
     )
     def test_truncates_only_past_the_request(self, capsys, monkeypatch, target, certified):
         calls = []

@@ -9,8 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 import qserieslab
-from qserieslab import A22Module, CharLabel, ProductFactor, ProductSpec, to_text
-from qserieslab import characters, lattice, products
+from qserieslab import CharLabel, ProductFactor, ProductSpec, named_series, to_text
+from qserieslab import characters, lattice, products, verify
 
 MODULES = [qserieslab] + [
     importlib.import_module(f"qserieslab.{info.name}") for info in pkgutil.iter_modules(qserieslab.__path__)
@@ -34,12 +34,14 @@ def clear_all():
 # 1/(1 + q^(1/3 + n/2))^2 times 3q^(-1/4)
 SIGNED_RECIPROCAL = ProductSpec((ProductFactor(-1, F(1, 3), F(1, 2), -2),), F(-1, 4), 3)
 
-# (memo whose hits are counted, the call at a given order)
+# (memo whose hits are counted, the call at a given order); the a22 names are
+# prelude definitions, served by the memo of the basic product or of the
+# (2,5) character that each reads once past its order-0 probes
 MEMOISED = {
     "minimal_char": (characters._minimal_char, lambda o: characters.minimal_char(CharLabel(2, 5, 1, 2), o)),
-    "a22:basic": (characters.a22_char, lambda o: characters.a22_char(A22Module.BASIC_LAMBDA1, o)),
-    "a22:2L1": (characters.a22_char, lambda o: characters.a22_char(A22Module.TWO_LAMBDA1, o)),
-    "a22:L0": (characters.a22_char, lambda o: characters.a22_char(A22Module.LAMBDA0, o)),
+    "a22:basic": (products.expand_product, lambda o: named_series("a22:basic", o)),
+    "a22:2L1": (characters._minimal_char, lambda o: named_series("a22:2L1", o)),
+    "a22:L0": (characters._minimal_char, lambda o: named_series("a22:L0", o)),
     "fkw_character": (lattice.fkw_character, lambda o: lattice.fkw_character(o)),
     "euler_phi": (products.euler_phi, lambda o: products.euler_phi(o)),
     "expand_product": (
@@ -110,22 +112,24 @@ def test_uncertified_result_is_not_truncated():
 
 
 def test_decomposition_expands_the_basic_product_once(monkeypatch):
-    # DECOMP-1.4 reads a22:basic, a22:2L1 and a22:L0, all of them built on the
-    # basic product: every module asks for it at one cushion, so past the
-    # order-0 probes it is expanded at one order and the rest are memo hits
+    # DECOMP-1.4 reads a22:basic, a22:2L1 and a22:L0, all of them defined on
+    # the basic product: each product flattens them and asks for it on the
+    # o + k lattice, so past the order-0 probes it is expanded at one order
+    # and the rest are memo hits
     from qserieslab.verify import Status, check
 
-    expand_product = characters.expand_product
+    basic = verify.parse_expression("prod(1,1/6,1,-1, 1,5/6,1,-1)").spec
+    expand_product = verify.expand_product
     expanded = []
 
     def spy(spec, order):
         misses = expand_product.cache_info().misses
         out = expand_product(spec, order)
-        if spec == characters._A22_BASIC and expand_product.cache_info().misses > misses:
+        if spec == basic and expand_product.cache_info().misses > misses:
             expanded.append(F(order))
         return out
 
-    monkeypatch.setattr(characters, "expand_product", spy)
+    monkeypatch.setattr(verify, "expand_product", spy)
     clear_all()
     assert check("DECOMP-1.4", 500).status is Status.PASS
     assert len([o for o in expanded if o >= 500]) == 1
@@ -134,7 +138,7 @@ def test_decomposition_expands_the_basic_product_once(monkeypatch):
 def test_every_module_memo_clears_and_reports():
     memos = module_memos()
     names = {memo.__name__ for memo in memos}
-    assert {"_minimal_char", "a22_char", "fkw_character", "euler_phi", "expand_product"} <= names
+    assert {"_minimal_char", "fkw_character", "euler_phi", "expand_product"} <= names
     for memo in memos:
         memo.cache_clear()
         info = memo.cache_info()

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from math import ceil, gcd, lcm
 from unittest.mock import patch
 
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pytest
 
@@ -44,7 +44,7 @@ from qserieslab import (
     weyl_group,
     zero,
 )
-from qserieslab import bivariate, cli, products, series
+from qserieslab import bivariate, cli, products, series, verify
 from qserieslab.bivariate import (
     COMPLETE_SUPPORT,
     QUINTUPLE_FLOOR,
@@ -956,6 +956,56 @@ def test_builtin_sides_certify_their_request(order):
     for record in registry():
         for side in (record.lhs, record.rhs):
             assert evaluate(side, order).order >= order, record.id
+
+
+def _expand_with_requests(text, order):
+    """(exit code, stdout, the set of expand_product requests evaluate
+    makes) of one `expand`, its order-0 probes made afresh."""
+    requests = set()
+    original = verify.expand_product
+
+    def spy(spec, request):
+        requests.add((spec, F(request)))
+        return original(spec, request)
+
+    verify._negative_lead.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    with patch.object(verify, "expand_product", spy), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["expand", text, "--order", str(order)])
+    return code, out.getvalue(), requests
+
+
+@given(
+    grammar_products(inverses=False),
+    grammar_products(inverses=True),
+    grammar_products(inverses=False),
+    st.sampled_from([F(-1, 2), F(0), F(1, 3), F(1)]),
+)
+@example("a22:basic", "a22:2L1", "mono(1,-1/6) * a22:L0", F(7, 2))
+# Three chains make up to 15 factors, about 30 ms an evaluation; inversions
+# in all three can ask single factors for orders that take seconds.
+@settings(max_examples=40)
+def test_nesting_and_monomials_change_no_request(x, y, z, order):
+    # a product opens its nested products and folds its monomials, so every
+    # grouping of one chain prints the same and asks for the same orders
+    groupings = (f"{x} * ({y} * {z})", f"({x} * {y}) * {z}", f"{x} * {y} * {z}")
+    results = [_expand_with_requests(text, order) for text in groupings]
+    assert results[0] == results[1] == results[2]
+
+
+def test_square_of_a_name_squares_equal_operands(monkeypatch):
+    # a22:basic * a22:basic flattens to the basic product twice and one
+    # monomial: both products are asked for one order and meet as equal operands
+    operands = []
+    original = series._kronecker_mul
+
+    def spy(ea, eb, ca, cb, top, g):
+        operands.append((ea, ca) == (eb, cb))
+        return original(ea, eb, ca, cb, top, g)
+
+    monkeypatch.setattr(series, "_kronecker_mul", spy)
+    evaluate(parse_expression("a22:basic * a22:basic"), 200)
+    assert operands and operands[0]
 
 
 # A zero factor, and one whose probe (and full evaluation) raises.

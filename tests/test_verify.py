@@ -13,6 +13,7 @@ from qserieslab import (
     UnknownIdentityError,
     check,
     check_record,
+    compare,
     discover,
     minimal_char,
     named_series,
@@ -21,11 +22,9 @@ from qserieslab import (
     scale,
     substitute,
     substitute_signed,
-    twisted_trace,
     zero,
 )
 from qserieslab import bivariate, verify
-from qserieslab.characters import WModule
 from qserieslab.verify import (
     BivariateThetaExpr,
     Inv,
@@ -311,10 +310,10 @@ class TestRetryStop:
 
     @pytest.mark.parametrize("identity_id", ["SPECIALIZE-L", "SPECIALIZE-R"])
     def test_specialize_probe_bumps_sibling_by_its_lead(self, identity_id):
-        # the order-0 probe sees the lead q^(-3/2), not the window edge's -75/2
+        # the order-0 probe sees the exact lead q^(-3/2), not the window edge's -75/2
         record = next(r for r in registry() if r.id == identity_id)
         assert isinstance(record.lhs.factors[1], Specialize)
-        assert verify._negative_lead(record.lhs.factors[1]) == -2
+        assert verify._negative_lead(record.lhs.factors[1]) == F(-3, 2)
 
 
 class TestProductChains:
@@ -344,6 +343,25 @@ class TestProductChains:
 
         monkeypatch.setattr(verify, "evaluate", counting)
         assert verify.evaluate(expr, 10).order >= 10
+
+
+class TestSums:
+    def test_each_distinct_term_is_evaluated_once(self, monkeypatch):
+        # a sum adds each distinct term once, times the sum of its signs
+        expr = parse_expression(" + ".join(["rr:1"] * 50) + " - rr:2 + rr:2")
+        names = []
+        original = verify.evaluate
+
+        def counting(node, order):
+            if isinstance(node, Name):
+                names.append(node.name)
+            return original(node, order)
+
+        monkeypatch.setattr(verify, "evaluate", counting)
+        value = verify.evaluate(expr, 10)
+        assert sorted(names) == ["rr:1", "rr:2"]
+        assert value.order == 10
+        assert compare(value, scale(named_series("rr:1", 10), 50), 10) is None
 
 
 class TestDiscover:
@@ -429,15 +447,21 @@ class TestEchelon:
             assert gcd(*row) == 1
 
 
+# The graded traces under the order-two automorphism: the twisted pairs at
+# h = 1/40 and 1/8 for epsilon 0 and 1, and the untwisted-sector traces of
+# W0 and W2/5.
+SIX_TRACES = (
+    "chi:5,6,2,2 + chi:5,6,2,4",
+    "chi:5,6,2,2 - chi:5,6,2,4",
+    "chi:5,6,1,2 + chi:5,6,1,4",
+    "chi:5,6,1,2 - chi:5,6,1,4",
+    "chi:5,6,2,1 - chi:5,6,2,5",
+    "chi:5,6,1,1 - chi:5,6,1,5",
+)
+
+
 def _six_traces(order):
-    return [
-        twisted_trace(WModule.WTAU_1_40, 0, order),
-        twisted_trace(WModule.WTAU_1_40, 1, order),
-        twisted_trace(WModule.WTAU_1_8, 0, order),
-        twisted_trace(WModule.WTAU_1_8, 1, order),
-        twisted_trace(WModule.W0, 0, order),
-        twisted_trace(WModule.W2_5, 0, order),
-    ]
+    return [evaluate(parse_expression(text), order) for text in SIX_TRACES]
 
 
 def _basis_functions(order):
