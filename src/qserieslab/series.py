@@ -407,7 +407,7 @@ def mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
         ea, ca, eb, cb, na, nb = eb, cb, ea, ca, nb, na
     if na == 1:  # b shifted and scaled
         return _from_grid(grid, [ea[0] + e for e in eb], _times(cb, ca[0]), a.den * b.den, order)
-    g = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb)) or 1  # 0 for two monomials
+    g = gcd(*(e - ea[0] for e in ea), *(e - eb[0] for e in eb))
     la, lb = (ea[-1] - ea[0]) // g + 1, (eb[-1] - eb[0]) // g + 1
     if na * nb <= la + lb:
         out: dict[int, int] = {}
