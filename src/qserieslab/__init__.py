@@ -25,20 +25,8 @@ from .characters import (
     minimal_char,
     named_series,
 )
-from .lattice import (
-    ALPHA1,
-    ALPHA2,
-    RHO,
-    RootVector,
-    ThetaBranch,
-    ThetaSumSpec,
-    WeylElement,
-    fkw_character,
-    gram,
-    theta_sum,
-    weyl_group,
-)
-from .products import ProductFactor, ProductSpec, euler_phi, expand_product
+from .lattice import fkw_character, theta_sum
+from .products import ProductFactor, euler_phi, expand_product
 from .series import (
     EmptySeriesError,
     FormatError,

@@ -247,26 +247,24 @@ def _digit_width(half: int) -> int:
 
 
 def bivariate_theta(
-    branches: Iterable[tuple[int, Rational, Rational, Rational, int, int]],
+    branches: Iterable[tuple[int, FloorBranch]],
     q_order: Rational,
     window: tuple[int, int],
 ) -> BivariateSeries:
     """Z-indexed sums with a z-power linear in the index:
 
     sum over m of sigma * q^(A m^2 + B m + C) * z^(E m + F)
-    for each branch (sigma, A, B, C, E, F) with A > 0 and E > 0.
+    for each pair (sigma, FloorBranch(A, B, C, E, F)), A > 0 and E > 0.
 
-    Each branch (A, B, C, E, F) is its own floor branch, so the floor is
-    exact on every layer a single branch hits and a lower bound where several
-    meet.
+    Each branch is its own floor branch, so the floor is exact on every layer
+    a single branch hits and a lower bound where several meet.
     """
     o = _frac(q_order)
     zmin, zmax = window
     spread = max(abs(zmin), abs(zmax))
     terms: dict[int, list[tuple[PuiseuxSeries, int]]] = {}
     floor: dict[FloorBranch, None] = {}
-    for sigma, *shape in branches:
-        br = FloorBranch(*shape)
+    for sigma, br in branches:
         floor[br] = None
         m_max = (spread + abs(br.offset)) // br.step + 1
         for m in range(-m_max, m_max + 1):
@@ -307,19 +305,25 @@ def _combine(parts: Sequence[tuple[BivariateSeries, int]]) -> BivariateSeries:
 
 
 def compare_bivariate(a: BivariateSeries, b: BivariateSeries, order: Rational) -> Optional[Mismatch]:
-    """Layerwise comparison on the overlap of the two windows, below `order`.
+    """Layerwise comparison on one z-window, below `order`.
 
     Returns the first mismatch scanning z ascending, each layer by ascending
-    q-exponent; None when everything certified agrees.
+    q-exponent; None when everything certified agrees.  Two different
+    windows raise ValueError, as for addition: layers outside either one
+    are unknown, so no comparison could stand for the whole series.
     """
     o = _frac(order)
+    if (a.zmin, a.zmax) != (b.zmin, b.zmax):
+        raise ValueError(
+            f"bivariate comparison requires identical z-windows, got [{a.zmin}, {a.zmax}] and [{b.zmin}, {b.zmax}]"
+        )
     if o > a.order or o > b.order:
         raise InsufficientOrderError(
             f"compare to {o} exceeds certified orders ({a.order}, {b.order})"
         )
     layers_a, layers_b = dict(a.layers), dict(b.layers)
     zero_a, zero_b = zero(a.order), zero(b.order)
-    for k in range(max(a.zmin, b.zmin), min(a.zmax, b.zmax) + 1):
+    for k in range(a.zmin, a.zmax + 1):
         found = compare(layers_a.get(k, zero_a), layers_b.get(k, zero_b), o)
         if found is not None:
             return Mismatch(found.exponent, found.lhs, found.rhs, z_exponent=k)

@@ -1,10 +1,11 @@
 """Irreducible highest-weight characters of the (s,t) minimal series.
 
-Covers the alternating-sum character, its central charge and conformal
-weights, and named_series(), which expands any character by its name.  The
-names other than chi:s,t,m,n and fkw (the Rogers-Ramanujan products, the
-twisted A2(2) characters and the W-module characters) are definitions in the
-registry grammar, the prelude in verify.py.
+Covers the alternating-sum character (a two-branch integer theta sum over
+(q)_inf), its central charge and conformal weights, and named_series(),
+which expands any character by its name.  The names other than chi:s,t,m,n
+and fkw (the Rogers-Ramanujan products, the twisted A2(2) characters and the
+W-module characters) are definitions in the registry grammar, the prelude in
+verify.py.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import lattice
-from .products import ProductFactor, ProductSpec, expand_product
+from .products import ProductFactor, expand_product
 from .series import PuiseuxSeries, Rational, _frac, _highest_order_memo, _shift, mul, truncate
 
 __all__ = [
@@ -74,14 +75,14 @@ def minimal_char(label: CharLabel, order: Rational) -> PuiseuxSeries:
     """Normalized character q^(h - c/24) / (q)_inf * alternating k-sum.
 
     The k-sum runs over q^(st*k^2) * (q^(k(mt-ns)) - q^((mt+ns)k + mn)),
-    that is theta_sum(ThetaSumSpec(st, (ThetaBranch(mt-ns, 0, +1),
-    ThetaBranch(mt+ns, mn, -1)))), and 1/(q)_inf is the reciprocal product.
+    that is theta_sum(1, st, ((mt-ns, 0, +1), (mt+ns, mn, -1))), and
+    1/(q)_inf is the reciprocal product.
     """
     return _minimal_char(label.s, label.t, label.m, label.n, _frac(order))
 
 
 # 1/(q)_inf as a product of reciprocal factors 1/(1 - q^i), i >= 1.
-_RECIPROCAL_PHI = ProductSpec((ProductFactor(1, Fraction(1), Fraction(1), -1),))
+_RECIPROCAL_PHI = (ProductFactor(1, Fraction(1), Fraction(1), -1),)
 
 
 @_highest_order_memo
@@ -92,11 +93,8 @@ def _minimal_char(s: int, t: int, m: int, n: int, order: Fraction) -> PuiseuxSer
     oshift = order - prefactor
     if oshift <= 0:
         return PuiseuxSeries(1, order, ())
-    spec = lattice.ThetaSumSpec(
-        s * t,
-        (lattice.ThetaBranch(m * t - n * s, 0, 1), lattice.ThetaBranch(m * t + n * s, m * n, -1)),
-    )
-    return _shift(mul(lattice.theta_sum(spec, oshift), expand_product(_RECIPROCAL_PHI, oshift)), prefactor)
+    theta = lattice.theta_sum(1, s * t, ((m * t - n * s, 0, 1), (m * t + n * s, m * n, -1)), oshift)
+    return _shift(mul(theta, expand_product(_RECIPROCAL_PHI, oshift)), prefactor)
 
 
 def lowest_weight_from_char(f: PuiseuxSeries, c: Rational) -> Fraction:

@@ -1,9 +1,10 @@
 """Expansion of declaratively specified infinite products.
 
-A product is a finite list of arithmetic-progression factor families
-(1 - s*q^(a+d*n))^p for n = 0, 1, 2, ... together with a monomial prefactor.
-With x the common root of every exponent and z = s*x^a, Q = x^d, a family is
-(z; Q)_inf^p, and each power of it is applied as one q-binomial sum
+A product is a finite tuple of arithmetic-progression factor families
+(1 - s*q^(a+d*n))^p for n = 0, 1, 2, ...; the registry grammar spells a
+monomial prefactor as mono(c,e) * prod(...).  With x the common root of
+every exponent and z = s*x^a, Q = x^d, a family is (z; Q)_inf^p, and each
+power of it is applied as one q-binomial sum
 (Andrews, The Theory of Partitions, ch. 2):
 
     Euler:   (z; Q)_inf   = sum_n (-z)^n Q^(n(n-1)/2) / (Q; Q)_n
@@ -17,15 +18,15 @@ integer coefficients, so expansions are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import lcm
 from operator import add, lshift, sub
 
-from .series import PuiseuxSeries, Rational, _ceil, _frac, _from_grid, _highest_order_memo, _sparse, _times
+from .series import PuiseuxSeries, Rational, _ceil, _frac, _from_grid, _highest_order_memo, _sparse
 
-__all__ = ["ProductFactor", "ProductSpec", "expand_product", "euler_phi"]
+__all__ = ["ProductFactor", "expand_product", "euler_phi"]
 
 
 @dataclass(frozen=True)
@@ -54,26 +55,14 @@ class ProductFactor:
             raise ValueError("factor power must be nonzero")
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    factors: tuple[ProductFactor, ...] = ()
-    prefactor_exponent: Fraction = field(default=Fraction(0))
-    prefactor_coefficient: Fraction = field(default=Fraction(1))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "prefactor_exponent", _frac(self.prefactor_exponent))
-        object.__setattr__(self, "prefactor_coefficient", _frac(self.prefactor_coefficient))
-
-
 @_highest_order_memo
-def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
-    """Exact expansion of the product mod q^order.
+def expand_product(factors: tuple[ProductFactor, ...], order: Rational) -> PuiseuxSeries:
+    """Exact expansion of the product of the factor families mod q^order.
 
-    A family whose start reaches the cutoff, order - prefactor_exponent, is
-    skipped: each of its instances is 1 below it.  Every other family, on the
-    grid x of the active exponents with z = s*x^a and Q = x^d, multiplies the
-    dense coefficient list f once per unit of |power| by Euler's sum
+    A family whose start reaches the order, the cutoff, is skipped: each of
+    its instances is 1 below it.  Every other family, on the grid x of the
+    active exponents with z = s*x^a and Q = x^d, multiplies the dense
+    coefficient list f once per unit of |power| by Euler's sum
     (z; Q)_inf = sum_n (-z)^n Q^(n(n-1)/2) / (Q; Q)_n when power > 0, or by
     Cauchy's sum 1/(z; Q)_inf = sum_n z^n Q^(n(n-1)) / ((Q; Q)_n (z; Q)_n)
     when power < 0, in Horner form, deepest level first:
@@ -91,26 +80,20 @@ def expand_product(spec: ProductSpec, order: Rational) -> PuiseuxSeries:
     order it certifies.
     """
     o = _frac(order)
-    cutoff = o - spec.prefactor_exponent
-    if spec.prefactor_coefficient == 0 or cutoff <= 0:
+    if o <= 0:
         return PuiseuxSeries(1, o, ())
 
-    grid = _grid(spec, cutoff)
-    size = _ceil(cutoff * grid)
+    grid = _grid(factors, o)
+    size = _ceil(o * grid)
     coeffs = [0] * size
     coeffs[0] = 1
-    for fac in spec.factors:
-        if fac.start >= cutoff:
+    for fac in factors:
+        if fac.start >= o:
             continue
         for _ in range(abs(fac.power)):
             coeffs = _times_family(coeffs, fac.sign, int(fac.start * grid), int(fac.step * grid), fac.power > 0)
-    pe = spec.prefactor_exponent
-    out_grid = lcm(grid, pe.denominator)
-    base = pe.numerator * (out_grid // pe.denominator)
-    unit = out_grid // grid
-    num, den = spec.prefactor_coefficient.numerator, spec.prefactor_coefficient.denominator
-    exps, nums = _sparse(coeffs, base, unit)
-    return _from_grid(out_grid, exps, _times(nums, num), den, o)
+    exps, nums = _sparse(coeffs, 0, 1)
+    return _from_grid(grid, exps, nums, 1, o)
 
 
 def _times_family(f: list[int], s: int, a: int, d: int, euler: bool, shift: int = 0) -> list[int]:
@@ -175,10 +158,10 @@ def _divide(h: list[int], m: int, s: int) -> None:
             h[i : i + m] = map(add, h[i : i + m], h[i - m : i])
 
 
-def _grid(spec: ProductSpec, cutoff: Fraction) -> int:
+def _grid(factors: tuple[ProductFactor, ...], cutoff: Fraction) -> int:
     """Common denominator of every factor exponent active below the cutoff."""
     d = 1
-    for fac in spec.factors:
+    for fac in factors:
         if fac.start < cutoff:
             d = lcm(d, fac.start.denominator, fac.step.denominator)
     return d
@@ -187,4 +170,4 @@ def _grid(spec: ProductSpec, cutoff: Fraction) -> int:
 @_highest_order_memo
 def euler_phi(order: Rational) -> PuiseuxSeries:
     """The Euler function: the product of (1 - q^i) over i >= 1."""
-    return expand_product(ProductSpec((ProductFactor(1, Fraction(1), Fraction(1)),)), order)
+    return expand_product((ProductFactor(1, Fraction(1), Fraction(1)),), order)

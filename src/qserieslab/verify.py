@@ -25,8 +25,8 @@ from typing import Optional, Sequence, Union
 
 from . import bivariate as bv
 from .characters import CharLabel, InvalidLabelError, UnknownNameError, minimal_char
-from .lattice import ThetaBranch, ThetaSumSpec, fkw_character, theta_sum
-from .products import ProductFactor, ProductSpec, expand_product
+from .lattice import fkw_character, theta_sum
+from .products import ProductFactor, expand_product
 from .series import (
     EmptySeriesError,
     InsufficientOrderError,
@@ -141,12 +141,17 @@ class Mono(Expr):
 
 @dataclass(frozen=True)
 class ProductExpr(Expr):
-    spec: ProductSpec
+    factors: tuple[ProductFactor, ...]
 
 
 @dataclass(frozen=True)
 class ThetaExpr(Expr):
-    spec: ThetaSumSpec
+    """theta_sum's sign * q^((quad*m^2 + lin*m + const)/grid) over m in Z and
+    the branches (lin, const, sign), all integers."""
+
+    grid: int
+    quad: int
+    branches: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,7 @@ class QuintupleRHS(Expr):
 
 @dataclass(frozen=True)
 class BivariateThetaExpr(Expr):
-    branches: tuple[tuple[int, Fraction, Fraction, Fraction, int, int], ...]
+    branches: tuple[tuple[int, bv.FloorBranch], ...]  # (sign +-1, branch)
     zmin: int
     zmax: int
 
@@ -255,9 +260,9 @@ def evaluate(expr: Expr, order: Rational) -> Value:
     if isinstance(expr, Mono):
         return monomial(expr.coefficient, expr.exponent, expr.exponent.denominator, o)
     if isinstance(expr, ProductExpr):
-        return expand_product(expr.spec, o)
+        return expand_product(expr.factors, o)
     if isinstance(expr, ThetaExpr):
-        return theta_sum(expr.spec, o)
+        return theta_sum(expr.grid, expr.quad, expr.branches, o)
     if isinstance(expr, QuintupleLHS):
         return bv.quintuple_lhs(o, (expr.zmin, expr.zmax))
     if isinstance(expr, QuintupleRHS):
@@ -690,17 +695,22 @@ def _build(form: str, child: Optional[Expr], nums: list[Fraction]) -> Expr:
         return Mono(*nums)
     if form == "prod":
         factors = (ProductFactor(_sign(s), a, d, _int(p, "power")) for s, a, d, p in zip(*[iter(nums)] * 4))
-        return ProductExpr(ProductSpec(tuple(factors)))
+        return ProductExpr(tuple(factors))
     if form == "theta":
-        branches = (ThetaBranch(b, c, _sign(s)) for b, c, s in zip(*[iter(nums[1:])] * 3))
-        return ThetaExpr(ThetaSumSpec(nums[0], tuple(branches)))
+        # A, then (B, C, s) groups: A, B and C move to the grid of their lcm
+        signs = [_sign(s) for s in nums[3::3]]
+        if nums[0] <= 0:
+            raise ValueError("quadratic coefficient must be positive for convergence")
+        grid = lcm(*(x.denominator for x in nums))
+        quad, *rest = (x.numerator * (grid // x.denominator) for x in nums)
+        return ThetaExpr(grid, quad, tuple(zip(rest[0::3], rest[1::3], signs)))
     if form in ("qlhs", "qrhs"):
         return (QuintupleLHS if form == "qlhs" else QuintupleRHS)(*_window(*nums))
     if form == "btheta":
         shapes = zip(*[iter(nums[2:])] * 6)
-        branches = tuple((_sign(s), a, b, c, _int(e, "z-step"), _int(f, "z-offset")) for s, a, b, c, e, f in shapes)
-        for branch in branches:
-            bv.FloorBranch(*branch[1:])  # A > 0 and E > 0
+        branches = tuple(
+            (_sign(s), bv.FloorBranch(a, b, c, _int(e, "z-step"), _int(f, "z-offset"))) for s, a, b, c, e, f in shapes
+        )
         return BivariateThetaExpr(branches, *_window(*nums[:2]))
     return Specialize(child, *nums)
 

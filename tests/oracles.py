@@ -297,9 +297,56 @@ def minimal_char_offsets(s: int, t: int, m: int, n: int, steps: int) -> list[int
     return [sum(theta[j] * p[i - j] for j in range(i + 1)) for i in range(steps)]
 
 
+# The A2 root lattice in the simple-root basis: Gram matrix with |alpha|^2 = 2.
+A2_GRAM = ((2, -1), (-1, 2))
+
+
+def mat_mul(a, b):
+    """The product of two 2x2 integer matrices, as tuples of rows."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+
+def transpose(a):
+    return tuple(zip(*a))
+
+
+def det(a) -> int:
+    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+
+
+def a2_norm(x: int, y: int) -> int:
+    """|x*alpha1 + y*alpha2|^2 = 2(x^2 - xy + y^2), from A2_GRAM."""
+    return A2_GRAM[0][0] * x * x + 2 * A2_GRAM[0][1] * x * y + A2_GRAM[1][1] * y * y
+
+
+def a2_reflection(i: int):
+    """s_i(v) = v - <v, alpha_i> alpha_i: column j is s_i(alpha_j)."""
+    return tuple(tuple(int(r == j) - A2_GRAM[i][j] * int(r == i) for j in range(2)) for r in range(2))
+
+
+def a2_weyl_group() -> frozenset:
+    """The Weyl group of A2: the closure of {identity} under right
+    multiplication by the two simple reflections."""
+    identity = ((1, 0), (0, 1))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for i in range(2):
+            h = mat_mul(g, a2_reflection(i))
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return frozenset(group)
+
+
+def rho_image(w) -> tuple[int, int]:
+    """w(rho) for the matrix of w, rho = alpha1 + alpha2."""
+    return (w[0][0] + w[0][1], w[1][0] + w[1][1])
+
+
 # The six Weyl images w(rho) of rho = alpha1 + alpha2 in the simple-root basis
-# (the six roots of A2), with sign(w).
-_A2_RHO_IMAGES = (((1, 1), 1), ((0, 1), -1), ((1, 0), -1), ((-1, 0), 1), ((0, -1), 1), ((-1, -1), -1))
+# (the six roots of A2), with sign(w) = det w.
+_A2_RHO_IMAGES = tuple(sorted((rho_image(w), det(w)) for w in a2_weyl_group()))
 
 
 def fkw_offsets(steps: int) -> list[int]:
@@ -314,7 +361,7 @@ def fkw_offsets(steps: int) -> list[int]:
         for n in range(-r, r + 1):
             for m in range(-r, r + 1):
                 x, y = 5 * a - 4 + 20 * n, 5 * b - 4 + 20 * m
-                k, rem = divmod(x * x - x * y + y * y - 1, 20)
+                k, rem = divmod(a2_norm(x, y) - 2, 40)
                 assert rem == 0, "every exponent sits an integer above 1/20"
                 if k < steps:
                     theta[k] += sign

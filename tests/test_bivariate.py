@@ -26,10 +26,9 @@ from qserieslab.bivariate import (
     add_bivariate,
     bivariate_theta,
 )
-from qserieslab.products import ProductFactor, ProductSpec
+from qserieslab.products import ProductFactor
 from qserieslab.products import _times_family as times_family
 from qserieslab.series import _unpack as unpack
-from qserieslab.lattice import ThetaBranch, ThetaSumSpec
 from oracles import family_product, quintuple_product_layers
 
 
@@ -155,10 +154,10 @@ class TestQuintupleRHSLayout:
 class TestBivariateTheta:
     def test_reindexing_reproduces_lhs_exactly(self):
         branches = (
-            (1, F(12), F(2), F(0), 6, 1),
-            (-1, F(12), F(14), F(4), 6, 4),
-            (1, F(12), F(-2), F(0), 6, 0),
-            (-1, F(12), F(10), F(2), 6, 3),
+            (1, FloorBranch(12, 2, 0, 6, 1)),
+            (-1, FloorBranch(12, 14, 4, 6, 4)),
+            (1, FloorBranch(12, -2, 0, 6, 0)),
+            (-1, FloorBranch(12, 10, 2, 6, 3)),
         )
         window = (-20, 20)
         four = bivariate_theta(branches, F(40), window)
@@ -167,13 +166,17 @@ class TestBivariateTheta:
         assert {k for k, _ in four.layers} == {k for k, _ in lhs.layers}
 
     def test_floor_derived_for_shared_step(self):
-        four = bivariate_theta(((1, F(3), F(-1), F(0), 3, 0), (1, F(3), F(1), F(0), 3, 1)), F(10), (-5, 5))
+        four = bivariate_theta(((1, FloorBranch(3, -1, 0, 3, 0)), (1, FloorBranch(3, 1, 0, 3, 1))), F(10), (-5, 5))
         assert four.floor == QUINTUPLE_FLOOR
 
     def test_floor_is_its_branches_once_each(self):
         # mixed z-steps, an offset past the step, and a branch repeated with
         # the other sign all keep their own shape
-        branches = ((1, F(12), F(2), F(0), 6, 1), (1, F(12), F(2), F(0), 3, 7), (-1, F(12), F(2), F(0), 6, 1))
+        branches = (
+            (1, FloorBranch(12, 2, 0, 6, 1)),
+            (1, FloorBranch(12, 2, 0, 3, 7)),
+            (-1, FloorBranch(12, 2, 0, 6, 1)),
+        )
         theta = bivariate_theta(branches, F(10), (-5, 5))
         assert theta.floor == (FloorBranch(12, 2, 0, 6, 1), FloorBranch(12, 2, 0, 3, 7))
         assert bivariate_theta((), F(10), (-5, 5)).floor == COMPLETE_SUPPORT
@@ -190,6 +193,17 @@ class TestCompare:
         b = bivariate_from_layers({1: monomial(2, 3, 1, 10)}, (0, 1), F(10))
         m = compare_bivariate(a, b, 10)
         assert (m.z_exponent, m.exponent, m.lhs, m.rhs) == (0, F(0), F(1), F(0))
+
+    @pytest.mark.parametrize("window", [(5, 7), (-3, 0), (-3, 7)])
+    def test_different_windows_rejected(self, window):
+        # layers outside either window are unknown: no overlap, partial or
+        # empty, may stand for the comparison
+        a = quintuple_lhs(F(10), (-3, -1))
+        b = quintuple_rhs(F(10), window)
+        with pytest.raises(ValueError, match="identical z-windows"):
+            compare_bivariate(a, b, 10)
+        with pytest.raises(ValueError, match="identical z-windows"):
+            compare_bivariate(b, a, 10)
 
     def test_insufficient_order(self):
         a = bivariate_from_layers({}, (0, 0), F(5))
@@ -221,31 +235,22 @@ class TestSpecialize:
         collapsed = specialize(lhs, F(5, 2), F(-3, 2))
         shifted = mul(monomial(1, F(3, 2), 2, collapsed.order + F(3, 2)), collapsed)
         assert shifted.order >= 25
-        spec = ThetaSumSpec(
-            F(30),
-            (
-                ThetaBranch(F(-4), F(0), 1),
-                ThetaBranch(F(16), F(2), -1),
-                ThetaBranch(F(-14), F(3, 2), 1),
-                ThetaBranch(F(26), F(11, 2), -1),
-            ),
-        )
+        # theta(30, -4,0,1, 16,2,-1, -14,3/2,1, 26,11/2,-1) on the grid 2
+        theta = theta_sum(2, 60, ((-8, 0, 1), (32, 4, -1), (-28, 3, 1), (52, 11, -1)), shifted.order)
         from qserieslab import compare
 
-        assert compare(shifted, theta_sum(spec, shifted.order), shifted.order) is None
+        assert compare(shifted, theta, shifted.order) is None
 
     def test_chain_reproduces_specialized_product(self):
         rhs = quintuple_rhs(F(30), (-25, 25))
         collapsed = specialize(rhs, F(5, 2), F(-3, 2))
         shifted = mul(monomial(1, F(3, 2), 2, collapsed.order + F(3, 2)), collapsed)
-        easy = ProductSpec(
-            (
-                ProductFactor(-1, F(3, 2), F(5), 1),
-                ProductFactor(1, F(5), F(5), 1),
-                ProductFactor(1, F(2), F(10), 1),
-                ProductFactor(1, F(8), F(10), 1),
-                ProductFactor(-1, F(7, 2), F(5), 1),
-            )
+        easy = (
+            ProductFactor(-1, F(3, 2), F(5), 1),
+            ProductFactor(1, F(5), F(5), 1),
+            ProductFactor(1, F(2), F(10), 1),
+            ProductFactor(1, F(8), F(10), 1),
+            ProductFactor(-1, F(7, 2), F(5), 1),
         )
         from qserieslab import compare
 
@@ -273,7 +278,7 @@ class TestSpecialize:
 
     def test_sum_keeps_union_of_floors(self):
         window = (-7, 7)
-        wanted3 = bivariate_theta(((1, F(12), F(2), F(0), 6, 1), (1, F(12), F(-2), F(0), 6, 0)), F(12), window)
+        wanted3 = bivariate_theta(((1, FloorBranch(12, 2, 0, 6, 1)), (1, FloorBranch(12, -2, 0, 6, 0))), F(12), window)
         both = add_bivariate(quintuple_lhs(F(12), window), wanted3)
         assert both.floor == QUINTUPLE_FLOOR + wanted3.floor
         unknown = bivariate_from_layers({}, window, F(12))

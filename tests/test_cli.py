@@ -436,6 +436,14 @@ class TestMainUsage:
         assert (code, out, err) == (2, "", "error: X: cannot invert: no term found below q^2\n")
         assert run(capsys, "verify-all", "--registry", str(path), "--order", "10")[0] == 0
 
+    def test_disjoint_windows_are_not_a_pass(self, capsys, tmp_path):
+        # the two windows share no layer, so nothing could be compared
+        path = tmp_path / "disjoint.registry"
+        path.write_text("DISJOINT | 50 | qlhs(-3,-1) | qrhs(5,7)\n")
+        code, out, err = run(capsys, "verify-all", "--registry", str(path))
+        message = "bivariate comparison requires identical z-windows, got [-3, -1] and [5, 7]"
+        assert (code, out, err) == (2, "", f"error: DISJOINT: {message}\n")
+
     def test_error_names_its_record_after_the_reports_before_it(self, tmp_path):
         # stdout and stderr share one pipe, so a report still buffered would follow the error
         path = tmp_path / "two.registry"

@@ -3,86 +3,80 @@ from fractions import Fraction as F
 import pytest
 
 from qserieslab import (
-    ALPHA1,
-    ALPHA2,
-    RHO,
     CharLabel,
-    RootVector,
-    ThetaBranch,
-    ThetaSumSpec,
-    WeylElement,
     compare,
     euler_phi,
     fkw_character,
-    gram,
     invert,
     minimal_char,
     mul,
     theta_sum,
-    weyl_group,
 )
 from qserieslab import lattice
 from qserieslab.series import monomial
-from oracles import fkw_offsets, pentagonal_sum
+from qserieslab.verify import evaluate, parse_expression
+from oracles import (
+    A2_GRAM,
+    a2_norm,
+    a2_reflection,
+    a2_weyl_group,
+    det,
+    fkw_offsets,
+    mat_mul,
+    pentagonal_sum,
+    rho_image,
+    transpose,
+)
 
 
 class TestGram:
     def test_simple_root_norms(self):
-        assert gram(ALPHA1, ALPHA1) == 2
-        assert gram(ALPHA2, ALPHA2) == 2
+        assert a2_norm(1, 0) == a2_norm(0, 1) == 2
 
     def test_off_diagonal(self):
-        assert gram(ALPHA1, ALPHA2) == -1
+        assert A2_GRAM[0][1] == A2_GRAM[1][0] == -1
+        # |alpha1 + alpha2|^2 = 2 + 2 - 2
+        assert a2_norm(1, 1) == a2_norm(1, 0) + a2_norm(0, 1) + 2 * A2_GRAM[0][1]
 
     def test_rho_norm(self):
-        assert gram(RHO, RHO) == 2
-
-    def test_bilinearity(self):
-        u = RootVector(F(1, 2), F(-3))
-        v = RootVector(F(2), F(5, 7))
-        w = RootVector(F(-1), F(1))
-        assert gram(u + v, w) == gram(u, w) + gram(v, w)
-        assert gram(u.scaled(F(3, 2)), v) == F(3, 2) * gram(u, v)
+        # every w(rho) in fkw_character's table is a root, like rho itself
+        assert a2_norm(1, 1) == 2
+        assert [a2_norm(*image) for image, _ in lattice._RHO_IMAGES] == [2] * 6
 
 
 class TestWeylGroup:
     def test_six_elements(self):
-        group = weyl_group()
-        assert len(group) == 6
-        assert len({w.matrix for w in group}) == 6
+        assert len(a2_weyl_group()) == 6
+        assert len(lattice._RHO_IMAGES) == len({image for image, _ in lattice._RHO_IMAGES}) == 6
 
     def test_identity_first(self):
-        e = weyl_group()[0]
-        assert e.matrix == ((1, 0), (0, 1))
-        assert e.sign == 1
+        assert ((1, 0), (0, 1)) in a2_weyl_group()
+        assert lattice._RHO_IMAGES[0] == ((1, 1), 1)
 
     def test_simple_reflection(self):
-        s1 = weyl_group()[1]
-        assert s1.apply(ALPHA1) == ALPHA1.scaled(-1)
-        assert s1.apply(ALPHA2) == ALPHA1 + ALPHA2
-        assert s1.sign == -1
+        s1 = a2_reflection(0)
+        assert s1 == ((-1, 1), (0, 1))  # alpha1 -> -alpha1, alpha2 -> alpha1 + alpha2
+        assert det(s1) == -1
+        assert (rho_image(s1), -1) in lattice._RHO_IMAGES
 
     def test_closure_and_sign_homomorphism(self):
-        group = weyl_group()
-        matrices = {w.matrix: w for w in group}
+        group = a2_weyl_group()
         for a in group:
             for b in group:
-                prod = a.compose(b)
-                assert prod.matrix in matrices
-                assert prod.sign == a.sign * b.sign
+                assert mat_mul(a, b) in group
+                assert det(mat_mul(a, b)) == det(a) * det(b)
 
     def test_gram_preservation(self):
-        probes = [RootVector(F(1), F(0)), RootVector(F(0), F(1)), RootVector(F(2), F(-3))]
-        for w in weyl_group():
-            for u in probes:
-                for v in probes:
-                    assert gram(w.apply(u), w.apply(v)) == gram(u, v)
+        for w in a2_weyl_group():
+            assert mat_mul(transpose(w), mat_mul(A2_GRAM, w)) == A2_GRAM
 
     def test_invalid_element_rejected(self):
-        with pytest.raises(ValueError):
-            WeylElement(((1, 0), (0, 1)), -1)
-        with pytest.raises(ValueError):
-            WeylElement(((1, 1), (0, 1)), 1)
+        # the checks are not vacuous: a shear of det 1 fails the form and
+        # lies outside the group, and signs other than det w break the table
+        shear = ((1, 1), (0, 1))
+        assert det(shear) == 1 and mat_mul(transpose(shear), mat_mul(A2_GRAM, shear)) != A2_GRAM
+        assert shear not in a2_weyl_group()
+        assert set(lattice._RHO_IMAGES) != {(rho_image(w), 1) for w in a2_weyl_group()}
 
 
 class TestFkwCharacter:
@@ -102,25 +96,27 @@ class TestFkwCharacter:
 
     @pytest.mark.parametrize("order", [F(1, 2), F(97, 6), F(25), F(-1, 30) + 40, F(200)])
     def test_no_lattice_point_outside_the_n_window_is_below_the_order(self, monkeypatch, order):
-        specs = []
+        calls = []
 
-        def spy(spec, o):
-            specs.append(spec)
-            return theta_sum(spec, o)
+        def spy(grid, quad, branches, o):
+            calls.append(branches)
+            return theta_sum(grid, quad, branches, o)
 
         monkeypatch.setattr(lattice, "theta_sum", spy)
         fkw_character.cache_clear()
         fkw_character(order)
         # one branch per Weyl element and n in [-bound, bound]
-        (spec,) = specs
-        bound = (len(spec.branches) // len(weyl_group()) - 1) // 2
+        (branches,) = calls
+        group = a2_weyl_group()
+        bound = (len(branches) // len(group) - 1) // 2
         shifted_order = order + F(1, 12)
-        for w in weyl_group():
+        for w in group:
+            a, b = rho_image(w)
             for n in (bound + 1, bound + 2, bound + 3, -bound - 1, -bound - 2, -bound - 3):
                 # |n*alpha1 + m*alpha2|^2 = n^2 + m^2 + (n - m)^2 only grows for |m| past 3|n| + 3
                 for m in range(-3 * abs(n) - 3, 3 * abs(n) + 4):
-                    v = w.apply(RHO).scaled(5) + ALPHA1.scaled(20 * n) + ALPHA2.scaled(20 * m) - RHO.scaled(4)
-                    assert gram(v, v) / 40 >= shifted_order
+                    # v = 5w(rho) + 20n*alpha1 + 20m*alpha2 - 4rho
+                    assert F(a2_norm(5 * a + 20 * n - 4, 5 * b + 20 * m - 4), 40) >= shifted_order
 
     @pytest.mark.parametrize("steps", [12, 40])
     def test_against_lattice_oracle(self, steps):
@@ -137,39 +133,37 @@ class TestFkwCharacter:
 class TestThetaSum:
     def test_pentagonal_fold(self):
         # (-1)^k q^(k(3k-1)/2) folded over even/odd k into two branches
-        spec = ThetaSumSpec(F(6), (ThetaBranch(F(-1), F(0), 1), ThetaBranch(F(5), F(1), -1)))
-        out = theta_sum(spec, F(40))
+        out = theta_sum(1, 6, ((-1, 0, 1), (5, 1, -1)), F(40))
         assert {int(e): int(c) for e, c in out.terms} == pentagonal_sum(40)
         assert compare(out, euler_phi(F(40)), 40) is None
 
     def test_empty_branches(self):
-        assert theta_sum(ThetaSumSpec(F(1), ()), F(10)).is_zero
+        assert theta_sum(1, 1, (), F(10)).is_zero
 
     def test_appendix_sum_against_character_pair(self):
-        spec = ThetaSumSpec(
-            F(30),
-            (
-                ThetaBranch(F(-4), F(0), 1),
-                ThetaBranch(F(16), F(2), -1),
-                ThetaBranch(F(-14), F(3, 2), 1),
-                ThetaBranch(F(26), F(11, 2), -1),
-            ),
-        )
+        # theta(30, -4,0,1, 16,2,-1, -14,3/2,1, 26,11/2,-1) on the grid 2
+        theta = theta_sum(2, 60, ((-8, 0, 1), (32, 4, -1), (-28, 3, 1), (52, 11, -1)), F(41))
+        assert evaluate(parse_expression("theta(30, -4,0,1, 16,2,-1, -14,3/2,1, 26,11/2,-1)"), F(41)) == theta
         lhs = mul(
-            mul(monomial(1, F(11, 120), 120, F(41)), theta_sum(spec, F(41))),
+            mul(monomial(1, F(11, 120), 120, F(41)), theta),
             invert(euler_phi(F(41))),
         )
         rhs = minimal_char(CharLabel(5, 6, 1, 2), F(40)) + minimal_char(CharLabel(5, 6, 1, 4), F(40))
         assert compare(lhs, rhs, 40) is None
 
     def test_nonpositive_quadratic_rejected(self):
-        with pytest.raises(ValueError):
-            ThetaSumSpec(F(0), (ThetaBranch(F(1), F(0), 1),))
+        # raised before the loop, which would not end without it, and for
+        # the theta form at parse time
+        for grid, quad in [(1, 0), (1, -3), (0, 1), (-2, 1)]:
+            with pytest.raises(ValueError, match="quadratic coefficient must be positive"):
+                theta_sum(grid, quad, ((1, 0, 1),), F(10))
+        for text in ("theta(0, 1,0,1)", "theta(-3/2, 1,0,1)"):
+            with pytest.raises(ValueError, match="quadratic coefficient must be positive"):
+                parse_expression(text)
 
     def test_large_linear_term_window(self):
         # vertex far from zero: the window logic must still catch every term
-        spec = ThetaSumSpec(F(1, 2), (ThetaBranch(F(-10), F(0), 1),))
-        out = theta_sum(spec, F(5))
+        out = theta_sum(2, 1, ((-20, 0, 1),), F(5))
         expected = {}
         for m in range(-100, 100):
             e = F(m * m, 2) - 10 * m

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import qserieslab
-from qserieslab import CharLabel, ProductFactor, ProductSpec, named_series, to_text
+from qserieslab import CharLabel, ProductFactor, named_series, to_text
 from qserieslab import characters, lattice, products, verify
 
 MODULES = [qserieslab] + [
@@ -31,8 +31,8 @@ def clear_all():
         memo.cache_clear()
 
 
-# 1/(1 + q^(1/3 + n/2))^2 times 3q^(-1/4)
-SIGNED_RECIPROCAL = ProductSpec((ProductFactor(-1, F(1, 3), F(1, 2), -2),), F(-1, 4), 3)
+# 1/(1 + q^(1/3 + n/2))^2
+SIGNED_RECIPROCAL = (ProductFactor(-1, F(1, 3), F(1, 2), -2),)
 
 # (memo whose hits are counted, the call at a given order); the a22 names are
 # prelude definitions, served by the memo of the basic product or of the
@@ -80,7 +80,7 @@ def test_bounded_and_least_recently_used_goes_first():
     memo = products.expand_product
     clear_all()
     maxsize = memo.cache_info().maxsize
-    specs = [ProductSpec((ProductFactor(1, k, 1),)) for k in range(1, maxsize + 6)]
+    specs = [(ProductFactor(1, k, 1),) for k in range(1, maxsize + 6)]
     for spec in specs:
         memo(spec, 5)
         assert memo.cache_info().currsize <= maxsize
@@ -118,7 +118,7 @@ def test_decomposition_expands_the_basic_product_once(monkeypatch):
     # and the rest are memo hits
     from qserieslab.verify import Status, check
 
-    basic = verify.parse_expression("prod(1,1/6,1,-1, 1,5/6,1,-1)").spec
+    basic = verify.parse_expression("prod(1,1/6,1,-1, 1,5/6,1,-1)").factors
     expand_product = verify.expand_product
     expanded = []
 

@@ -17,19 +17,14 @@ from qserieslab import (
     InsufficientOrderError,
     InsufficientRowsError,
     ProductFactor,
-    ProductSpec,
     PuiseuxSeries,
-    RootVector,
     SeriesError,
-    ThetaBranch,
-    ThetaSumSpec,
     add,
     compare,
     discover,
     expand_product,
     euler_phi,
     from_text,
-    gram,
     invert,
     monomial,
     mul,
@@ -38,13 +33,11 @@ from qserieslab import (
     sub,
     substitute,
     substitute_signed,
-    theta_sum,
     to_text,
     truncate,
-    weyl_group,
     zero,
 )
-from qserieslab import bivariate, cli, products, series, verify
+from qserieslab import bivariate, cli, lattice, products, series, verify
 from qserieslab.bivariate import (
     COMPLETE_SUPPORT,
     QUINTUPLE_FLOOR,
@@ -57,7 +50,10 @@ from qserieslab.bivariate import (
 )
 from qserieslab.verify import _echelon, evaluate, parse_expression, registry
 from oracles import (
+    A2_GRAM,
+    a2_weyl_group,
     canonical_series,
+    det,
     dict_combine,
     dict_combine_bivariate,
     dict_compare,
@@ -69,11 +65,14 @@ from oracles import (
     family_product,
     fmt_text,
     fraction_nullspace,
+    mat_mul,
     partition_counts,
     pentagonal_sum,
     product_offsets,
     quintuple_product_layers,
+    rho_image,
     theta_enumeration,
+    transpose,
 )
 from test_series import kernel_mul
 
@@ -176,7 +175,7 @@ def invertible_series(draw):
 
 
 @given(invertible_series())
-@example(expand_product(ProductSpec((ProductFactor(1, F(1), F(1), 1),)), F(60)))  # (q)_inf
+@example(expand_product((ProductFactor(1, F(1), F(1), 1),), F(60)))  # (q)_inf
 @example(PuiseuxSeries(3, F(5), ((F(-2, 3), F(-5, 2)),)))
 def test_invert_matches_dense_recurrence(a):
     assert invert(a) == dense_invert(a)
@@ -407,10 +406,11 @@ def theta_cases(draw):
 @example((F(1, 2), [(F(1, 3), F(-1, 6), 1), (F(1, 3), F(-1, 6), -1)]), F(0))
 @example((F(5, 6), [(F(-1, 2), F(-5, 3), -1)]), F(-3, 2))
 def test_theta_sum_matches_fraction_enumeration(case, order):
+    # through the theta form, which puts A, B and C on the grid of their lcm
     quadratic, branches = case
-    spec = ThetaSumSpec(quadratic, tuple(ThetaBranch(b, c, sign) for b, c, sign in branches))
+    text = "theta(" + ", ".join([str(quadratic), *(f"{b},{c},{sign}" for b, c, sign in branches)]) + ")"
     expected = canonical_series(theta_enumeration(quadratic, branches, order), order)
-    assert theta_sum(spec, order) == expected
+    assert evaluate(parse_expression(text), order) == expected
 
 
 floor_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -576,10 +576,14 @@ product_factors = st.tuples(
 # 1/(q;q)_inf below q^17: the last level leads at q^16 and keeps one coefficient
 @example([(1, 1, 1, -1)], F(0), F(1), F(17))
 def test_expand_product_matches_oracle(factors, prefactor_exponent, prefactor_coefficient, order):
-    spec = ProductSpec(tuple(ProductFactor(*f) for f in factors), prefactor_exponent, prefactor_coefficient)
-    out = expand_product(spec, order)
+    out = expand_product(tuple(ProductFactor(*f) for f in factors), order)
     assert out.order == order
-    assert dict(out.terms) == product_offsets(factors, prefactor_exponent, prefactor_coefficient, order)
+    assert dict(out.terms) == product_offsets(factors, F(0), F(1), order)
+    # the grammar spells the prefactor c*q^e as mono(c,e) * prod(...)
+    groups = ", ".join(",".join(map(str, f)) for f in factors)
+    out = evaluate(parse_expression(f"mono({prefactor_coefficient},{prefactor_exponent}) * prod({groups})"), order)
+    assert out.order >= order
+    assert dict(truncate(out, order).terms) == product_offsets(factors, prefactor_exponent, prefactor_coefficient, order)
 
 
 @given(graded_series(), st.fractions(min_value=-7, max_value=31, max_denominator=12))
@@ -656,8 +660,8 @@ def test_pentagonal_number_equivalence(order):
 )
 def test_product_power_matches_repetition(reps, start, step, sign, magnitude):
     for power in (magnitude, -magnitude):
-        bundled = ProductSpec((ProductFactor(sign, start, step, power * reps),))
-        repeated = ProductSpec(tuple(ProductFactor(sign, start, step, power) for _ in range(reps)))
+        bundled = (ProductFactor(sign, start, step, power * reps),)
+        repeated = tuple(ProductFactor(sign, start, step, power) for _ in range(reps))
         assert expand_product(bundled, F(18)) == expand_product(repeated, F(18))
 
 
@@ -665,24 +669,23 @@ def test_product_power_matches_repetition(reps, start, step, sign, magnitude):
                           st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)),
                 min_size=1, max_size=3))
 def test_reciprocal_progressions_count_partitions(progressions):
-    spec = ProductSpec(tuple(ProductFactor(1, a, d, -1) for a, d in progressions))
-    out = expand_product(spec, F(15))
+    out = expand_product(tuple(ProductFactor(1, a, d, -1) for a, d in progressions), F(15))
     assert out.coefficient(0) == 1
     assert all(c.denominator == 1 and c > 0 for _, c in out.terms)
 
 
 def test_weyl_gram_preservation_and_sign_homomorphism():
-    group = weyl_group()
-    probes = [RootVector(F(1), F(0)), RootVector(F(0), F(1)), RootVector(F(-2), F(3)), RootVector(F(5), F(1))]
-    matrices = {w.matrix: w.sign for w in group}
-    assert len(matrices) == 6
+    # the group generated from s1 and s2, against fkw_character's table of
+    # (w(rho), sign w)
+    group = a2_weyl_group()
+    assert len(group) == 6
     for a in group:
-        for u in probes:
-            for v in probes:
-                assert gram(a.apply(u), a.apply(v)) == gram(u, v)
+        assert mat_mul(transpose(a), mat_mul(A2_GRAM, a)) == A2_GRAM
         for b in group:
-            product = a.compose(b)
-            assert matrices[product.matrix] == a.sign * b.sign == product.sign
+            assert mat_mul(a, b) in group
+            assert det(mat_mul(a, b)) == det(a) * det(b)
+    assert set(lattice._RHO_IMAGES) == {(rho_image(w), det(w)) for w in group}
+    assert len(lattice._RHO_IMAGES) == 6
 
 
 @given(

@@ -41,8 +41,8 @@ from qserieslab.verify import (
     evaluate,
     parse_registry_text,
 )
-from qserieslab.lattice import ThetaBranch, ThetaSumSpec
-from qserieslab.products import ProductFactor, ProductSpec
+from qserieslab.bivariate import FloorBranch
+from qserieslab.products import ProductFactor
 
 REQUIRED_IDS = [
     "RR-1",
@@ -86,44 +86,31 @@ class TestRegistry:
     def test_two_variable_records_keep_their_trees(self):
         # the seven records of the quintuple-product argument, spelled as trees
         window = (-25, 25)
-        wanted_theta = ThetaExpr(
-            ThetaSumSpec(
-                F(30),
-                (
-                    ThetaBranch(F(-4), F(0), 1),
-                    ThetaBranch(F(16), F(2), -1),
-                    ThetaBranch(F(-14), F(3, 2), 1),
-                    ThetaBranch(F(26), F(11, 2), -1),
-                ),
-            )
-        )
+        # theta(30, -4,0,1, 16,2,-1, -14,3/2,1, 26,11/2,-1) on the grid 2
+        wanted_theta = ThetaExpr(2, 60, ((-8, 0, 1), (32, 4, -1), (-28, 3, 1), (52, 11, -1)))
         wanted_product = ProductExpr(
-            ProductSpec(
-                (
-                    ProductFactor(1, F(1), F(1), 1),
-                    ProductFactor(1, F(1), F(5, 2), -1),
-                    ProductFactor(1, F(3, 2), F(5, 2), -1),
-                )
+            (
+                ProductFactor(1, F(1), F(1), 1),
+                ProductFactor(1, F(1), F(5, 2), -1),
+                ProductFactor(1, F(3, 2), F(5, 2), -1),
             )
         )
         easy_product = ProductExpr(
-            ProductSpec(
-                (
-                    ProductFactor(-1, F(3, 2), F(5), 1),
-                    ProductFactor(1, F(5), F(5), 1),
-                    ProductFactor(1, F(2), F(10), 1),
-                    ProductFactor(1, F(8), F(10), 1),
-                    ProductFactor(-1, F(7, 2), F(5), 1),
-                )
+            (
+                ProductFactor(-1, F(3, 2), F(5), 1),
+                ProductFactor(1, F(5), F(5), 1),
+                ProductFactor(1, F(2), F(10), 1),
+                ProductFactor(1, F(8), F(10), 1),
+                ProductFactor(-1, F(7, 2), F(5), 1),
             )
         )
-        euler = ProductExpr(ProductSpec((ProductFactor(1, F(1), F(1), 1),)))
+        euler = ProductExpr((ProductFactor(1, F(1), F(1), 1),))
         wanted3 = BivariateThetaExpr(
             (
-                (1, F(12), F(2), F(0), 6, 1),
-                (-1, F(12), F(14), F(4), 6, 4),
-                (1, F(12), F(-2), F(0), 6, 0),
-                (-1, F(12), F(10), F(2), 6, 3),
+                (1, FloorBranch(F(12), F(2), F(0), 6, 1)),
+                (-1, FloorBranch(F(12), F(14), F(4), 6, 4)),
+                (1, FloorBranch(F(12), F(-2), F(0), 6, 0)),
+                (-1, FloorBranch(F(12), F(10), F(2), 6, 3)),
             ),
             *window,
         )
@@ -202,8 +189,8 @@ class TestCheck:
         # z-steps 6 and 3 each bound their own layers, so the window widens
         # to reach the order; by hand, 5/2*(12m^2 + 2m) - 3/2*(6m + 1) and
         # 5/2*(12m^2 + 2m) - 3/2*3m
-        mixed = BivariateThetaExpr(((1, F(12), F(2), F(0), 6, 1), (1, F(12), F(2), F(0), 3, 0)), -25, 25)
-        by_hand = ThetaExpr(ThetaSumSpec(F(30), (ThetaBranch(F(-4), F(-3, 2), 1), ThetaBranch(F(1, 2), F(0), 1))))
+        mixed = BivariateThetaExpr(((1, FloorBranch(12, 2, 0, 6, 1)), (1, FloorBranch(12, 2, 0, 3, 0))), -25, 25)
+        by_hand = ThetaExpr(2, 60, ((-8, -3, 1), (1, 0, 1)))  # 30m^2 + (-4m - 3/2 | m/2), on the grid 2
         record = IdentityRecord("MIXED-STEPS", Specialize(mixed, F(5, 2), F(-3, 2)), by_hand, F(order))
         report = check_record(record, order)
         assert (report.status, report.order_checked) == (Status.PASS, order)
