@@ -260,16 +260,30 @@ _MEMO_SIZE = 32
 def _highest_order_memo(fn: Callable[..., PuiseuxSeries]) -> Callable[..., PuiseuxSeries]:
     """Memoise a function whose `order` argument is a truncation order.
 
-    The key is every other argument.  Each key holds one result, from the
-    highest order requested so far.  A request at that order gets it back; a
-    request below it gets truncate() of it, but only when the held result
-    certified exactly the order it was asked for, so that it is exact on the
-    whole of the smaller range.  Anything else is computed afresh.  At most
-    _MEMO_SIZE keys are held, the least recently used evicted first.
-    cache_info() and cache_clear() behave as for functools.lru_cache.
+    The key is every other argument.  Each key holds one result, the order
+    it was computed at, and the largest order requested for the key so far.
+    A request at the computed order gets the result back; a request below it
+    gets truncate() of it, but only when the held result certified exactly
+    its computed order, so that it is exact on the whole of the smaller
+    range.  A request above such a result runs fn at max(order, 2L), L the
+    largest earlier request, and gets truncate() of that: a ladder of rising
+    requests then costs one run each time the requests double, not one per
+    rung.  A grown run that raises MemoryError is retried at the request.
+    Anything else is computed afresh at its own order.
+
+    So fn never runs above twice the largest request for its key, and a held
+    result's order, and with it its length, is at most twice what its
+    callers asked for.  The base is the largest request, not the computed
+    order: doubling the computed order would let each growth raise the base
+    of the next, so that a request just above 2L runs at 4L, then 8L.  A
+    request at twice L or more runs at exactly its order, so a key asked at
+    0 by a probe and then at one order, or at orders that each at least
+    double the one before, never grows.  At most _MEMO_SIZE keys are held,
+    the least recently used evicted first.  cache_info() and cache_clear()
+    behave as for functools.lru_cache.
     """
     signature = inspect.signature(fn)
-    held: OrderedDict = OrderedDict()  # key -> (requested order, result)
+    held: OrderedDict = OrderedDict()  # key -> (computed order, result, largest request)
     lock = threading.Lock()  # guards `held` and the counts, not the call
     hits = misses = 0
 
@@ -281,25 +295,35 @@ def _highest_order_memo(fn: Callable[..., PuiseuxSeries]) -> Callable[..., Puise
         order = _frac(bound.arguments.pop("order"))
         key = tuple(bound.arguments.items())
         with lock:
-            request, result = held.get(key, (None, None))
-            exact = request is not None and result.order == request
-            served = order == request or (exact and order < request)
+            computed, result, largest = held.get(key, (None, None, None))
+            exact = computed is not None and result.order == computed
+            served = order == computed or (exact and order < computed)
             if served:
                 held.move_to_end(key)
                 hits += 1
             else:
                 misses += 1
+            if computed is not None and order > largest:
+                held[key] = (computed, result, order)
         if served:
-            return result if order == request else truncate(result, order)
-        result = fn(*args, **kwargs)
+            return result if order == computed else truncate(result, order)
+        run = max(order, 2 * largest) if exact else order
+        result = None
+        if run > order:
+            try:
+                result = fn(*bound.args, order=run, **bound.kwargs)
+            except MemoryError:  # retried at the request, once the handler has let go of the frames
+                run = order
+        if result is None:
+            result = fn(*args, **kwargs)
         with lock:
             entry = held.get(key)
-            if entry is None or order > entry[0]:
-                held[key] = (order, result)
+            if entry is None or run > entry[0]:
+                held[key] = (run, result, order if entry is None else max(order, entry[2]))
                 held.move_to_end(key)
                 if len(held) > _MEMO_SIZE:
                     held.popitem(last=False)
-        return result
+        return result if result.order <= order else truncate(result, order)
 
     def cache_info() -> _CacheInfo:
         return _CacheInfo(hits, misses, _MEMO_SIZE, len(held))

@@ -209,8 +209,14 @@ def evaluate(expr: Expr, order: Rational) -> Value:
     as equal operands.  When a probe raised, the product asks once more
     with the leads the factors showed.
 
-    An inversion asks for max(o, 1), to see a lead h below 1
-    (EmptySeriesError if it shows no term), then for o + 2h.  A
+    An inversion probes its child at 1 and then, while no term shows, at
+    top/2^k, ..., top/2, top, where top = max(o, 1) and top/2^k is in
+    [2, 4) (EmptySeriesError if none shows a term); the first term gives
+    its lead h.  It then asks for max(o + 2h, top).  For o >= 4 each
+    request at least doubles the one before, since a probe that showed
+    nothing puts h at or above it, so a memo that the child reads at the
+    order it is asked (see series._highest_order_memo) does not grow inside
+    one inversion.  A
     specialization widens the window of every two-variable leaf under it,
     through sums, to the smallest symmetric one (never narrower) whose
     excluded layers reach o, by the floor of an order-0 probe, and asks for
@@ -242,14 +248,23 @@ def evaluate(expr: Expr, order: Rational) -> Value:
             product = reduce(mul, _factor_values(factors, [_lead(v) for v in values], o))
         return product
     if isinstance(expr, Inv):
-        request = max(o, 1)
-        child = evaluate(expr.child, request)
-        if not isinstance(child, PuiseuxSeries):
-            raise EvaluationError("cannot invert a two-variable series")
-        if not child.exps:
-            raise EmptySeriesError(f"cannot invert: no term found below q^{request}")
-        if child.order < o + 2 * child.leading_exponent:
-            child = evaluate(expr.child, o + 2 * child.leading_exponent)
+        top = max(o, 1)
+        probes = [top]
+        while probes[-1] >= 4:
+            probes.append(probes[-1] / 2)
+        if top > 1:
+            probes.append(Fraction(1))
+        for probe in reversed(probes):
+            child = evaluate(expr.child, probe)
+            if not isinstance(child, PuiseuxSeries):
+                raise EvaluationError("cannot invert a two-variable series")
+            if child.exps:
+                break
+        else:
+            raise EmptySeriesError(f"cannot invert: no term found below q^{top}")
+        request = max(o + 2 * child.leading_exponent, top)
+        if child.order < request:
+            child = evaluate(expr.child, request)
         return invert(child)
     if isinstance(expr, Subst):
         child = evaluate(expr.child, o / expr.ratio)

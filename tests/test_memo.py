@@ -2,15 +2,23 @@
 bounded, and every module-level memo can be cleared and read without
 arguments."""
 
+import functools
 import importlib
+import inspect
+import math
 import pkgutil
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import dense_invert, fmt_text
 
 import qserieslab
 from qserieslab import CharLabel, ProductFactor, named_series, to_text
 from qserieslab import characters, lattice, products, verify
+from qserieslab.series import PuiseuxSeries, _highest_order_memo
 
 MODULES = [qserieslab] + [
     importlib.import_module(f"qserieslab.{info.name}") for info in pkgutil.iter_modules(qserieslab.__path__)
@@ -181,3 +189,235 @@ def test_threads_share_a_memo_without_lost_counts():
     info = cheap.cache_info()
     assert info.hits + info.misses == 8 * calls_per_thread
     assert info.currsize <= maxsize
+
+
+# The growth rule: a request above a held exact result runs the function at
+# max(order, 2L), L the largest earlier request for its key.
+
+
+def order_memos():
+    """The module memos keyed by a truncation order: plain functions, where
+    the other module memos are lru_caches."""
+    return [memo for memo in module_memos() if inspect.isfunction(memo)]
+
+
+def spy_order_memos(monkeypatch):
+    """Put, in every module that names an order memo, a fresh memo over a
+    recording copy of its function.  Returns the log, one
+    (function name, key, "ask" or "run", order) per request to a memo and per
+    run of its function, in the order they happen."""
+    log = []
+
+    def spied(memo):
+        fn = memo.__wrapped__
+        signature = inspect.signature(fn)
+
+        def entry(kind, args, kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            order = F(bound.arguments.pop("order"))
+            return (fn.__name__, tuple(bound.arguments.items()), kind, order)
+
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            log.append(entry("run", args, kwargs))
+            return fn(*args, **kwargs)
+
+        fresh = _highest_order_memo(run)
+
+        @functools.wraps(fn)
+        def ask(*args, **kwargs):
+            log.append(entry("ask", args, kwargs))
+            return fresh(*args, **kwargs)
+
+        ask.cache_info, ask.cache_clear = fresh.cache_info, fresh.cache_clear
+        return ask
+
+    for memo in order_memos():
+        replacement = spied(memo)
+        for mod in MODULES:
+            for name, value in list(vars(mod).items()):
+                if value is memo:
+                    monkeypatch.setattr(mod, name, replacement)
+    return log
+
+
+def runs_above(log, factor):
+    """The runs of the log above factor times the largest request made for
+    their key so far."""
+    largest, above = {}, []
+    for fn, key, kind, order in log:
+        if kind == "ask":
+            largest[fn, key] = max(order, largest.get((fn, key), order))
+        elif order > factor * largest[fn, key]:
+            above.append((fn, key, order, largest[fn, key]))
+    return above
+
+
+def exact_stub(calls):
+    """An order memo over a series with the term (k + 1)q^k for every whole
+    k below the order, which records each order it runs at."""
+
+    @_highest_order_memo
+    def stub(order):
+        calls.append(F(order))
+        return PuiseuxSeries(1, order, [(k, k + 1) for k in range(math.ceil(order))])
+
+    return stub
+
+
+@pytest.mark.parametrize("name", sorted(MEMOISED))
+def test_ascending_ladder_runs_each_key_at_most_twice(name, monkeypatch):
+    _, call = MEMOISED[name]
+    orders = [F(o) for o in range(100, 201, 10)]
+    log = spy_order_memos(monkeypatch)
+    clear_all()
+    texts = [to_text(call(o)) for o in orders]
+    # an order-0 probe of a character asks its product for -(h - c/24) < 1
+    runs = Counter((fn, key) for fn, key, kind, order in log if kind == "run" and order >= 1)
+    assert runs and max(runs.values()) <= 2, runs
+    assert runs_above(log, 2) == []
+    for o, text in zip(orders, texts):
+        clear_all()
+        assert text == to_text(call(o))
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=60, max_denominator=6), min_size=1, max_size=12))
+def test_runs_stay_within_twice_the_largest_request(orders):
+    calls = []
+    stub = exact_stub(calls)
+    largest = F(0)
+    for o in orders:
+        before = len(calls)
+        served = stub(o)
+        largest = max(largest, o)
+        assert all(run <= 2 * largest for run in calls[before:])
+        assert served.order == o
+        assert to_text(served) == to_text(exact_stub([]).__wrapped__(o))
+
+
+def test_growth_is_based_on_the_largest_request_not_the_computed_order():
+    calls = []
+    stub = exact_stub(calls)
+    r, eps = F(40), F(1, 3)
+    for o in (r, r + eps, 2 * r + eps):
+        assert stub(o).order == o
+    assert calls == [r, 2 * r, 2 * r + 2 * eps]  # not 4r, as doubling 2r would give
+
+
+def test_a_request_that_doubles_the_largest_runs_at_its_own_order():
+    calls = []
+    stub = exact_stub(calls)
+    for o in (0, 7, 20, 40, 100):
+        stub(o)
+    assert calls == [0, 7, 20, 40, 100]
+
+
+def test_grown_run_out_of_memory_retries_at_the_request():
+    calls = []
+
+    @_highest_order_memo
+    def tight(order):
+        calls.append(F(order))
+        if order > 15:
+            raise MemoryError
+        return PuiseuxSeries(1, order, [(k, 1) for k in range(math.ceil(order))])
+
+    tight(10)
+    assert to_text(tight(12)) == to_text(tight.__wrapped__(12))  # 20 does not fit; 12 does
+    assert calls == [10, 20, 12, 12]
+    assert tight(11).order == 11 and calls[-1] == 12  # served by the held 12
+    with pytest.raises(MemoryError):
+        tight(16)  # a request that does not fit still fails, after one retry at 16
+    assert calls[-2:] == [24, 16]
+
+
+def test_a_grown_run_that_certifies_less_is_cut_to_the_request_or_returned_whole():
+    def capped_stub(calls):
+        @_highest_order_memo
+        def capped(order):
+            calls.append(F(order))
+            o = min(F(order), 30)
+            return PuiseuxSeries(1, o, [(k, 1) for k in range(math.ceil(o))])
+
+        return capped
+
+    calls = []
+    capped = capped_stub(calls)
+    capped(20)
+    assert capped(25).order == 25 and calls == [20, 40]  # the run at 40 certified 30
+    calls = []
+    capped = capped_stub(calls)
+    capped(20)
+    assert capped(35).order == 30 and calls == [20, 40]  # as a run at 35 would give
+
+
+TWO_VARIABLE = ("QPI", "WANTED3", "SPECIALIZE-L", "SPECIALIZE-R")
+ONE_VARIABLE = [record.id for record in verify.registry() if record.id not in TWO_VARIABLE]
+COLD_CHECKS = [(rid, order) for order in (50, 500) for rid in ONE_VARIABLE] + [(rid, 600) for rid in TWO_VARIABLE]
+
+
+@pytest.mark.parametrize("rid, order", COLD_CHECKS)
+def test_a_cold_check_never_grows_a_memo(rid, order, monkeypatch):
+    from qserieslab.verify import check
+
+    log = spy_order_memos(monkeypatch)
+    clear_all()
+    check(rid, order)
+    assert runs_above(log, 1) == []
+
+
+@pytest.mark.parametrize(
+    "child",
+    ["rr:1", "chi:5,6,1,2", "w:2/5", "chi:2,5,1,1@q^2", "a22:basic"],
+)
+def test_an_inversion_never_grows_a_memo(child, monkeypatch, capsys):
+    from qserieslab import cli
+    from qserieslab.series import truncate
+    from qserieslab.verify import evaluate, parse_expression
+
+    order = 300
+    log = spy_order_memos(monkeypatch)
+    clear_all()
+    assert cli.main(["expand", f"inv({child})", "--order", str(order)]) == 0
+    printed = capsys.readouterr().out
+    assert any(kind == "run" for _, _, kind, _ in log)
+    assert runs_above(log, 1) == []
+    # the same text as the dense recurrence gives from a child with room to spare
+    value = evaluate(parse_expression(child), order + 10)
+    assert printed == fmt_text(truncate(dense_invert(value), order))
+
+
+def test_threads_growing_one_memo_get_their_own_orders():
+    import sys
+    import threading
+
+    runs, errors, top = [], [], 20
+
+    @_highest_order_memo
+    def stub(key, order):
+        runs.append(F(order))
+        return PuiseuxSeries(1, order, [(k, key + 1) for k in range(math.ceil(order))])
+
+    def worker(seed):
+        try:
+            for i in range(300):
+                key, o = i % 3, F(1 + (i * seed) % top, 1 + seed % 2)
+                served = stub(key, o)
+                assert served.order == o and served.exps == tuple(range(math.ceil(o)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(1, 9)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert max(runs) <= 2 * top
