@@ -209,14 +209,14 @@ def evaluate(expr: Expr, order: Rational) -> Value:
     as equal operands.  When a probe raised, the product asks once more
     with the leads the factors showed.
 
-    An inversion probes its child at 1 and then, while no term shows, at
-    top/2^k, ..., top/2, top, where top = max(o, 1) and top/2^k is in
-    [2, 4) (EmptySeriesError if none shows a term); the first term gives
-    its lead h.  It then asks for max(o + 2h, top).  For o >= 4 each
-    request at least doubles the one before, since a probe that showed
-    nothing puts h at or above it, so a memo that the child reads at the
-    order it is asked (see series._highest_order_memo) does not grow inside
-    one inversion.  A
+    An inversion probes its child at 1, and at top = max(o, 1) when that
+    probe shows no term or raises a SeriesError (EmptySeriesError if the
+    probe at top shows no term); the first term gives its lead h.  It then
+    asks for max(o + 2h, top).  A lead below 1, which every built-in
+    inversion has, makes that request at least o, so for o >= 2 a memo that
+    the child reads at the order it is asked (see
+    series._highest_order_memo) is not asked for o and then a little more
+    inside one inversion; a lead in [1, o/2) can grow one, at most to 2o.  A
     specialization widens the window of every two-variable leaf under it,
     through sums, to the smallest symmetric one (never narrower) whose
     excluded layers reach o, by the floor of an order-0 probe, and asks for
@@ -249,18 +249,17 @@ def evaluate(expr: Expr, order: Rational) -> Value:
         return product
     if isinstance(expr, Inv):
         top = max(o, 1)
-        probes = [top]
-        while probes[-1] >= 4:
-            probes.append(probes[-1] / 2)
+        child = None
         if top > 1:
-            probes.append(Fraction(1))
-        for probe in reversed(probes):
-            child = evaluate(expr.child, probe)
-            if not isinstance(child, PuiseuxSeries):
-                raise EvaluationError("cannot invert a two-variable series")
-            if child.exps:
-                break
-        else:
+            try:
+                child = evaluate(expr.child, 1)
+            except SeriesError:  # an inner inversion saw no term below its probe; top decides
+                pass
+        if child is None or (isinstance(child, PuiseuxSeries) and not child.exps):
+            child = evaluate(expr.child, top)
+        if not isinstance(child, PuiseuxSeries):
+            raise EvaluationError("cannot invert a two-variable series")
+        if not child.exps:
             raise EmptySeriesError(f"cannot invert: no term found below q^{top}")
         request = max(o + 2 * child.leading_exponent, top)
         if child.order < request:

@@ -388,6 +388,35 @@ def test_an_inversion_never_grows_a_memo(child, monkeypatch, capsys):
     assert printed == fmt_text(truncate(dense_invert(value), order))
 
 
+def test_an_inversion_of_a_child_leading_at_or_above_1_stays_within_twice_the_request(monkeypatch, capsys):
+    from qserieslab import cli
+    from qserieslab.series import truncate
+    from qserieslab.verify import evaluate, parse_expression
+
+    order, child = 300, "mono(1,2) * rr:1"
+    log = spy_order_memos(monkeypatch)
+    clear_all()
+    assert cli.main(["expand", f"inv({child})", "--order", str(order)]) == 0
+    printed = capsys.readouterr().out
+    # the probe at 1 shows no term, so the child is asked for 300 and then 304
+    assert runs_above(log, 2) == [] and runs_above(log, 1) != []
+    value = evaluate(parse_expression(child), order + 10)
+    assert printed == fmt_text(truncate(dense_invert(value), order))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("inv(inv(mono(1,3)))", "D=1 O=50/1\n3/1 1/1\n"), ("inv(inv(mono(1,3)) * mono(1,5))", "D=1 O=50/1\n-2/1 1/1\n")],
+)
+def test_an_inner_inversion_that_finds_nothing_at_the_probe_defers_to_the_request(text, expected, capsys):
+    """The probe at 1 sees mono(1,3) empty, so the inner inversion raises
+    there; the outer one asks again at the order requested."""
+    from qserieslab import cli
+
+    assert cli.main(["expand", text, "--order", "50"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_threads_growing_one_memo_get_their_own_orders():
     import sys
     import threading
