@@ -143,6 +143,28 @@ def test_decomposition_expands_the_basic_product_once(monkeypatch):
     assert len([o for o in expanded if o >= 500]) == 1
 
 
+@pytest.mark.parametrize("order", [500, 2000])
+def test_decomposition_multiplies_the_shared_basic_product_once(order, monkeypatch):
+    # both terms of DECOMP-1.4's right side hold the basic product, so the sum
+    # multiplies it once into the sum of their rests: the square on the left,
+    # the two (2,5) products of the rests and one product of the basic product
+    # by their sum; adding the terms one by one made five
+    from qserieslab import series
+    from qserieslab.verify import Status, check
+
+    operands = []
+    kronecker_mul = series._kronecker_mul
+
+    def spy(ea, eb, ca, cb, top, g):
+        operands.append((len(ea), len(eb)))
+        return kronecker_mul(ea, eb, ca, cb, top, g)
+
+    monkeypatch.setattr(series, "_kronecker_mul", spy)
+    clear_all()
+    assert check("DECOMP-1.4", order).status is Status.PASS
+    assert len(operands) == 4, operands
+
+
 def test_every_module_memo_clears_and_reports():
     memos = module_memos()
     names = {memo.__name__ for memo in memos}

@@ -1011,6 +1011,54 @@ def test_square_of_a_name_squares_equal_operands(monkeypatch):
     assert operands and operands[0]
 
 
+def _distributed(expr, order):
+    """A sum with each distinct term evaluated alone and combined, times the
+    sum of its signs: the evaluation before shared factors were taken out."""
+    counts = {}
+    for sign, term in expr.terms:
+        counts[term] = counts.get(term, 0) + sign
+    return series._combine([(evaluate(term, order), count) for term, count in counts.items()])
+
+
+_shared_factor_sums = st.builds(
+    lambda form, f, a, b: form.format(f=f, a=a, b=b),
+    st.sampled_from(["{f} * {a} + {f} * {b}", "{f} * {a} - {f} * {b}", "{f} * {f} * {a} + {f} * {b}"]),
+    grammar_products(inverses=True),
+    grammar_products(inverses=True),
+    grammar_products(inverses=True),
+)
+
+
+@given(_shared_factor_sums, _edge_orders)
+# a term that is the shared factor alone
+@example("a22:basic + a22:2L1", F(50))
+# a shared factor leading at q^(-7/3)
+@example("(mono(1,-7/3) + rr:2) * rr:1 + (mono(1,-7/3) + rr:2) * a22:basic", F(-1, 2))
+# a shared inversion whose child leads at q^3: both raise at 1/3 and 2
+@example("inv(mono(1,3)) * rr:1 + inv(mono(1,3)) * rr:2", F(1, 3))
+@example("inv(mono(1,3)) * rr:1 + inv(mono(1,3)) * rr:2", F(2))
+@example("inv(mono(1,3)) * rr:1 + inv(mono(1,3)) * rr:2", F(50))
+# the rests cancel below q^(-5), so the shared inversion alone would be asked
+# for 1 and raise; the terms ask it for 5 each
+@example("inv(mono(1,3)) * (mono(1,-5) + rr:1) - inv(mono(1,3)) * (mono(1,-5) + rr:2)", F(0))
+# the rests cancel exactly
+@example("rr:1 * rr:2 - rr:2 * rr:1@q^1", F(7))
+# Three chains make up to 15 factors; inversions in all three can ask single
+# factors for orders that take seconds.
+@settings(max_examples=40)
+def test_shared_factors_multiply_once(text, order):
+    expr = parse_expression(text)
+    try:
+        expected = _distributed(expr, order)
+    except SeriesError:
+        with pytest.raises(SeriesError):
+            evaluate(expr, order)
+        return
+    value = evaluate(expr, order)
+    assert value.order >= order
+    assert to_text(truncate(value, order)) == to_text(truncate(expected, order))
+
+
 # A zero factor, and one whose probe (and full evaluation) raises.
 _degenerate_factors = st.sampled_from(["mono(0,1)", "inv(rr:1-rr:1)"])
 _cli_sides = st.one_of(

@@ -24,7 +24,7 @@ from qserieslab import (
     substitute_signed,
     zero,
 )
-from qserieslab import bivariate, verify
+from qserieslab import bivariate, cli, verify
 from qserieslab.verify import (
     BivariateThetaExpr,
     Inv,
@@ -349,6 +349,32 @@ class TestSums:
         assert sorted(names) == ["rr:1", "rr:2"]
         assert value.order == 10
         assert compare(value, scale(named_series("rr:1", 10), 50), 10) is None
+
+    def test_perturbed_decomposition_fails_where_the_terms_added_alone_do(self):
+        # a third term on the basic product shares it with the other two, so
+        # the sum multiplies it once; the mismatch is the one the terms give
+        # evaluated alone and added
+        base = next(r for r in registry() if r.id == "DECOMP-1.4")
+        rhs = Sum((*base.rhs.terms, (1, parse_expression("mono(1,5) * a22:basic"))))
+        assert verify._shared_factors_out(dict((term, sign) for sign, term in rhs.terms)) is not None
+        report = check_record(IdentityRecord("DECOMP-1.4-BROKEN", base.lhs, rhs, F(50)), 50)
+        distributed = verify._combine([(evaluate(term, 50), sign) for sign, term in rhs.terms])
+        found = compare(evaluate(base.lhs, 50), distributed, 50)
+        assert report.status is Status.FAIL
+        assert found.exponent == 5 - F(1, 72)
+        assert (report.mismatch.exponent, report.mismatch.lhs, report.mismatch.rhs) == (
+            found.exponent,
+            found.lhs,
+            found.rhs,
+        )
+
+    def test_shared_two_variable_factor_is_still_refused(self, capsys, tmp_path):
+        path = tmp_path / "bv.registry"
+        path.write_text("BV | 20 | qlhs(-2,2) * rr:1 + qlhs(-2,2) * rr:2 | mono(0,0)\n")
+        code = cli.main(["verify-all", "--registry", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: BV: products of two-variable series are not supported\n"
 
 
 class TestDiscover:
